@@ -5,6 +5,11 @@
 // pre-core engines; ReadGeneralizedCsv round-trips are exact, so a cell-wise
 // table comparison is a byte-for-byte contract.
 //
+// The five pipelines that never read the cluster distance (forest, both
+// (k,k) variants, global (1,k) and full-domain) must also reproduce their
+// golden under every DistanceFunction, so the goldens pin each of them once
+// for all five distance settings.
+//
 // Regenerating (only legitimate when an intentional output change lands):
 //   KANON_REGEN_GOLDEN=1 ./golden_output_test
 #include <gtest/gtest.h>
@@ -12,9 +17,11 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kanon/algo/anonymizer.h"
+#include "kanon/algo/distance.h"
 #include "kanon/data/csv.h"
 #include "kanon/generalization/generalized_csv.h"
 #include "kanon/generalization/scheme_spec.h"
@@ -67,24 +74,35 @@ std::vector<GoldenCase> AllCases() {
   return cases;
 }
 
+// The pipelines that rank candidates by plain closure cost; only the
+// agglomerative methods read AnonymizerConfig::distance.
+constexpr AnonymizationMethod kDistanceBlindMethods[] = {
+    AnonymizationMethod::kForest,
+    AnonymizationMethod::kKKNearestNeighbors,
+    AnonymizationMethod::kKKGreedyExpansion,
+    AnonymizationMethod::kGlobal,
+    AnonymizationMethod::kFullDomain,
+};
+
 std::string GoldenPath(const std::string& dataset, AnonymizationMethod method,
                        const std::string& measure) {
   return std::string(KANON_TESTDATA_DIR) + "/golden/" + dataset + "_" +
          AnonymizationMethodName(method) + "_" + measure + ".csv";
 }
 
+std::vector<std::pair<std::string, std::unique_ptr<LossMeasure>>>
+AllMeasures() {
+  std::vector<std::pair<std::string, std::unique_ptr<LossMeasure>>> m;
+  m.emplace_back("EM", std::make_unique<EntropyMeasure>());
+  m.emplace_back("LM", std::make_unique<LmMeasure>());
+  return m;
+}
+
 TEST(GoldenOutputTest, EveryPipelineReproducesPreRefactorTables) {
   const bool regen = std::getenv("KANON_REGEN_GOLDEN") != nullptr;
   const std::vector<GoldenCase> cases = AllCases();
   for (const GoldenCase& c : cases) {
-    const std::vector<std::pair<std::string, std::unique_ptr<LossMeasure>>>
-        measures = [] {
-          std::vector<std::pair<std::string, std::unique_ptr<LossMeasure>>> m;
-          m.emplace_back("EM", std::make_unique<EntropyMeasure>());
-          m.emplace_back("LM", std::make_unique<LmMeasure>());
-          return m;
-        }();
-    for (const auto& [measure_name, measure] : measures) {
+    for (const auto& [measure_name, measure] : AllMeasures()) {
       const PrecomputedLoss loss(c.scheme, c.dataset, *measure);
       for (AnonymizationMethod method : kAllMethods) {
         const std::string path = GoldenPath(c.name, method, measure_name);
@@ -109,6 +127,34 @@ TEST(GoldenOutputTest, EveryPipelineReproducesPreRefactorTables) {
               << c.name << "/" << AnonymizationMethodName(method) << "/"
               << measure_name << " diverged from the pre-refactor golden at "
               << "--threads " << threads;
+        }
+      }
+    }
+  }
+}
+
+TEST(GoldenOutputTest, DistanceBlindPipelinesMatchGoldenUnderEveryDistance) {
+  for (const GoldenCase& c : AllCases()) {
+    for (const auto& [measure_name, measure] : AllMeasures()) {
+      const PrecomputedLoss loss(c.scheme, c.dataset, *measure);
+      for (AnonymizationMethod method : kDistanceBlindMethods) {
+        const GeneralizedTable golden = Unwrap(ReadGeneralizedCsvFile(
+            c.scheme, GoldenPath(c.name, method, measure_name)));
+        for (DistanceFunction distance : kAllDistanceFunctions) {
+          for (int threads : {1, 2, 4}) {
+            AnonymizerConfig config;
+            config.k = c.k;
+            config.method = method;
+            config.distance = distance;
+            config.num_threads = threads;
+            const AnonymizationResult result =
+                Unwrap(Anonymize(c.dataset, loss, config));
+            EXPECT_TRUE(result.table == golden)
+                << c.name << "/" << AnonymizationMethodName(method) << "/"
+                << measure_name << " diverged from its golden under "
+                << DistanceFunctionName(distance) << " at --threads "
+                << threads;
+          }
         }
       }
     }
