@@ -61,10 +61,9 @@ Result<GeneralizedTable> AgglomerativeKAnonymize(
   return TableFromClustering(loss.scheme_ptr(), dataset, clustering);
 }
 
-// The (pipeline × distance) instantiation matrix for the agglomerative
-// engine (docs/policy_engine.md). New policies do not belong here: they
-// instantiate the engine implicitly from agglomerative_engine.h in their
-// own translation unit.
+// One engine instantiation per built-in distance (docs/policy_engine.md).
+// New policies do not belong here: they instantiate the engine implicitly
+// from agglomerative_engine.h in their own translation unit.
 template Result<Clustering> AgglomerativeClusterWithPolicy(
     const Dataset&, const PrecomputedLoss&, size_t,
     const AgglomerativeOptions&, const WeightedPolicy&);
@@ -78,21 +77,6 @@ template Result<Clustering> AgglomerativeClusterWithPolicy(
     const Dataset&, const PrecomputedLoss&, size_t,
     const AgglomerativeOptions&, const RatioPolicy&);
 template Result<Clustering> AgglomerativeClusterWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const NergizCliftonPolicy&);
-template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const WeightedPolicy&);
-template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const PlainPolicy&);
-template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const LogWeightedPolicy&);
-template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const RatioPolicy&);
-template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
     const Dataset&, const PrecomputedLoss&, size_t,
     const AgglomerativeOptions&, const NergizCliftonPolicy&);
 

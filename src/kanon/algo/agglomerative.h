@@ -58,10 +58,10 @@ struct AgglomerativeOptions {
 ///
 /// This entry translates `options.distance` to its compile-time
 /// ClusterPolicy exactly once and runs the templated engine of
-/// agglomerative_engine.h; callers with a custom policy use
-/// AgglomerativeClusterWithPolicy from that header directly (the policy then
-/// supersedes `options.distance`/`options.params`). See
-/// docs/policy_engine.md.
+/// agglomerative_engine.h — the only pipeline that reads a cluster
+/// distance. Callers with a custom distance use that header's templated
+/// entry directly (the policy then supersedes
+/// `options.distance`/`options.params`). See docs/policy_engine.md.
 Result<Clustering> AgglomerativeCluster(const Dataset& dataset,
                                         const PrecomputedLoss& loss, size_t k,
                                         const AgglomerativeOptions& options);

@@ -20,12 +20,11 @@
 #include "kanon/telemetry/tracer.h"
 
 // The templated agglomerative engine (docs/policy_engine.md): Algorithm 1/2
-// on the shared clustering core, with every per-pair decision supplied by a
+// on the shared clustering core, with the cluster distance supplied by a
 // ClusterPolicy as an inlinable hook instead of the runtime EvalDistance
 // switch. The five built-in policies are explicitly instantiated in
-// agglomerative.cc (and extern-declared below); a new policy instantiates
-// the engine from its own translation unit without touching any pipeline
-// file — that is the extensibility contract this header exists for.
+// agglomerative.cc (and extern-declared below); a new distance instantiates
+// the engine from its own translation unit without touching this header.
 
 namespace kanon {
 
@@ -40,8 +39,8 @@ inline constexpr size_t kAgglomerativeCheapSweepSerialBelow = 2048;
 // clustering core: ClusterSet owns the alive/dead bookkeeping, ClosureStore
 // hash-conses every cluster closure (and memoizes its cost), and MergeHeap
 // carries the two-best candidates with the stale-entry heap maintenance.
-// `Policy` supplies the distance, the (a)symmetry of the merge rule, and
-// the ripeness predicate; all hooks inline into the sweeps.
+// `Policy` supplies the distance and the (a)symmetry of the merge rule;
+// both inline into the sweeps.
 template <typename Policy>
 class AgglomerativeEngine {
   KANON_ASSERT_CLUSTER_POLICY(Policy);
@@ -410,7 +409,7 @@ class AgglomerativeEngine {
       }
       if (merge_cost_ != nullptr) merge_cost_->Observe(entry.dist);
       const uint32_t merged = Merge(entry.a, entry.b);
-      if (policy_.Ripe(clusters_.cluster(merged).members.size(), k_)) {
+      if (clusters_.cluster(merged).members.size() >= k_) {
         if (options_.modified &&
             clusters_.cluster(merged).members.size() > k_) {
           const std::vector<uint32_t> ejected = ShrinkToK(merged);
@@ -551,16 +550,6 @@ Result<Clustering> AgglomerativeClusterWithPolicy(
       .Run();
 }
 
-template <typename Policy>
-Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const AgglomerativeOptions& options, const Policy& policy) {
-  KANON_ASSIGN_OR_RETURN(
-      Clustering clustering,
-      AgglomerativeClusterWithPolicy(dataset, loss, k, options, policy));
-  return TableFromClustering(loss.scheme_ptr(), dataset, clustering);
-}
-
 // The five built-in policies are instantiated once, in agglomerative.cc;
 // client code linking against the library never re-instantiates them.
 extern template Result<Clustering> AgglomerativeClusterWithPolicy(
@@ -576,21 +565,6 @@ extern template Result<Clustering> AgglomerativeClusterWithPolicy(
     const Dataset&, const PrecomputedLoss&, size_t,
     const AgglomerativeOptions&, const RatioPolicy&);
 extern template Result<Clustering> AgglomerativeClusterWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const NergizCliftonPolicy&);
-extern template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const WeightedPolicy&);
-extern template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const PlainPolicy&);
-extern template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const LogWeightedPolicy&);
-extern template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
-    const Dataset&, const PrecomputedLoss&, size_t,
-    const AgglomerativeOptions&, const RatioPolicy&);
-extern template Result<GeneralizedTable> AgglomerativeKAnonymizeWithPolicy(
     const Dataset&, const PrecomputedLoss&, size_t,
     const AgglomerativeOptions&, const NergizCliftonPolicy&);
 

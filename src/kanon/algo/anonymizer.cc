@@ -1,18 +1,16 @@
 #include "kanon/algo/anonymizer.h"
 
+#include <cmath>
 #include <map>
-#include <type_traits>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "kanon/algo/agglomerative.h"
-#include "kanon/algo/agglomerative_engine.h"
 #include "kanon/algo/forest.h"
 #include "kanon/algo/global_anonymizer.h"
 #include "kanon/algo/global_recoding.h"
 #include "kanon/algo/kk_anonymizer.h"
-#include "kanon/algo/policy.h"
-#include "kanon/algo/policy_weighted.h"
 #include "kanon/common/timer.h"
 
 namespace kanon {
@@ -40,16 +38,39 @@ const char* PipelineSpanName(AnonymizationMethod method) {
   return "pipeline/unknown";
 }
 
-// The whole method switch, templated on an already-dispatched policy: from
-// here down no code inspects the DistanceFunction enum again — every
-// pipeline runs on the policy's inlined hooks. `loss` is the substrate the
-// pipeline prices clusters on (the reweighted copy when attribute weights
-// are set), which may differ from the loss the caller reports Π under.
-template <typename Policy>
+// Validates AnonymizerConfig::attr_weights: one finite weight >= 0 per
+// attribute of `loss`, with a positive sum (a zero weight is allowed — that
+// attribute generalizes for free — but not all of them).
+Status ValidateAttrWeights(const PrecomputedLoss& loss,
+                           const std::vector<double>& weights) {
+  const size_t r = loss.scheme().num_attributes();
+  if (weights.size() != r) {
+    return Status::InvalidArgument("expected " + std::to_string(r) +
+                                   " attribute weights, got " +
+                                   std::to_string(weights.size()));
+  }
+  double sum = 0.0;
+  for (size_t j = 0; j < weights.size(); ++j) {
+    if (!std::isfinite(weights[j]) || weights[j] < 0.0) {
+      return Status::InvalidArgument("attribute weight " + std::to_string(j) +
+                                     " must be finite and non-negative");
+    }
+    sum += weights[j];
+  }
+  if (sum <= 0.0) {
+    return Status::InvalidArgument("attribute weights must not all be zero");
+  }
+  return Status::OK();
+}
+
+// The method switch. `loss` is the substrate the pipeline prices clusters
+// on (the reweighted copy when attribute weights are set), which may differ
+// from the loss the caller reports Π under. Only the agglomerative methods
+// read the cluster distance; AgglomerativeCluster dispatches it to its
+// compile-time policy (docs/policy_engine.md).
 Result<GeneralizedTable> RunPipeline(const Dataset& dataset,
                                      const PrecomputedLoss& loss,
                                      const AnonymizerConfig& config,
-                                     const Policy& policy,
                                      EngineCounters* counters) {
   RunContext* const ctx = config.run_context;
   switch (config.method) {
@@ -63,35 +84,31 @@ Result<GeneralizedTable> RunPipeline(const Dataset& dataset,
       options.run_context = ctx;
       options.num_threads = config.num_threads;
       options.counters = counters;
-      return AgglomerativeKAnonymizeWithPolicy(dataset, loss, config.k,
-                                               options, policy);
+      return AgglomerativeKAnonymize(dataset, loss, config.k, options);
     }
     case AnonymizationMethod::kForest:
-      return ForestKAnonymizeWithPolicy(dataset, loss, config.k, policy, ctx,
-                                        counters);
+      return ForestKAnonymize(dataset, loss, config.k, ctx, counters);
     case AnonymizationMethod::kKKNearestNeighbors:
-      return KKAnonymizeWithPolicy(dataset, loss, config.k,
-                                   K1Algorithm::kNearestNeighbors, policy, ctx,
-                                   config.num_threads, counters);
+      return KKAnonymize(dataset, loss, config.k,
+                         K1Algorithm::kNearestNeighbors, ctx,
+                         config.num_threads, counters);
     case AnonymizationMethod::kKKGreedyExpansion:
-      return KKAnonymizeWithPolicy(dataset, loss, config.k,
-                                   K1Algorithm::kGreedyExpansion, policy, ctx,
-                                   config.num_threads, counters);
+      return KKAnonymize(dataset, loss, config.k,
+                         K1Algorithm::kGreedyExpansion, ctx,
+                         config.num_threads, counters);
     case AnonymizationMethod::kGlobal: {
-      Result<GeneralizedTable> kk = KKAnonymizeWithPolicy(
-          dataset, loss, config.k, K1Algorithm::kGreedyExpansion, policy, ctx,
-          config.num_threads, counters);
+      Result<GeneralizedTable> kk =
+          KKAnonymize(dataset, loss, config.k, K1Algorithm::kGreedyExpansion,
+                      ctx, config.num_threads, counters);
       if (!kk.ok()) return kk.status();
-      Result<GlobalAnonymizationResult> global =
-          MakeGlobal1KAnonymousWithPolicy(dataset, loss, config.k,
-                                          std::move(kk).value(), policy, ctx,
-                                          counters);
+      Result<GlobalAnonymizationResult> global = MakeGlobal1KAnonymous(
+          dataset, loss, config.k, std::move(kk).value(), ctx, counters);
       if (!global.ok()) return global.status();
       return std::move(global->table);
     }
     case AnonymizationMethod::kFullDomain: {
-      Result<GlobalRecodingResult> recoded = GlobalRecodingKAnonymizeWithPolicy(
-          dataset, loss, config.k, policy, ctx, config.num_threads, counters);
+      Result<GlobalRecodingResult> recoded = GlobalRecodingKAnonymize(
+          dataset, loss, config.k, ctx, config.num_threads, counters);
       if (!recoded.ok()) return recoded.status();
       return std::move(recoded->table);
     }
@@ -119,6 +136,22 @@ const char* AnonymizationMethodName(AnonymizationMethod method) {
       return "full-domain";
   }
   return "unknown";
+}
+
+AnonymityNotion PromisedNotion(AnonymizationMethod method) {
+  switch (method) {
+    case AnonymizationMethod::kAgglomerative:
+    case AnonymizationMethod::kModifiedAgglomerative:
+    case AnonymizationMethod::kForest:
+    case AnonymizationMethod::kFullDomain:
+      return AnonymityNotion::kKAnonymity;
+    case AnonymizationMethod::kKKNearestNeighbors:
+    case AnonymizationMethod::kKKGreedyExpansion:
+      return AnonymityNotion::kKK;
+    case AnonymizationMethod::kGlobal:
+      return AnonymityNotion::kGlobalOneK;
+  }
+  return AnonymityNotion::kKAnonymity;
 }
 
 void PublishCounters(const EngineCounters& counters, MetricsRegistry* metrics) {
@@ -169,44 +202,17 @@ Result<AnonymizationResult> Anonymize(const Dataset& dataset,
   const ScopedTelemetry telemetry(config.tracer, config.metrics);
   PhaseSpan pipeline_span(config.tracer, PipelineSpanName(config.method));
   EngineCounters counters;
-  // The one runtime distance dispatch of the whole run: the enum becomes a
-  // compile-time policy here, and RunPipeline's method switch runs on the
-  // policy's inlined hooks (docs/policy_engine.md).
-  Result<GeneralizedTable> table = DispatchDistancePolicy(
-      config.distance, config.params,
-      [&](const auto& policy) -> Result<GeneralizedTable> {
-        using Base = std::decay_t<decltype(policy)>;
-        if (config.attr_weights.empty()) {
-          return RunPipeline(dataset, loss, config, policy, &counters);
-        }
-        // Weighted attributes: bind the reweighted substrate to the policy
-        // (algo/policy_weighted.h) and run the pipeline against it.
-        Result<AttrWeightedPolicy<Base>> weighted =
-            AttrWeightedPolicy<Base>::Create(policy, loss,
-                                             config.attr_weights);
-        if (!weighted.ok()) return weighted.status();
-        if (config.method == AnonymizationMethod::kAgglomerative ||
-            config.method == AnonymizationMethod::kModifiedAgglomerative) {
-          // The header-templated agglomerative engine instantiates directly
-          // on the new policy type — the no-pipeline-edit extensibility
-          // contract, exercised on the main path.
-          AgglomerativeOptions options;
-          options.distance = config.distance;
-          options.params = config.params;
-          options.modified =
-              config.method == AnonymizationMethod::kModifiedAgglomerative;
-          options.run_context = config.run_context;
-          options.num_threads = config.num_threads;
-          options.counters = &counters;
-          return AgglomerativeKAnonymizeWithPolicy(
-              dataset, weighted->loss(), config.k, options, *weighted);
-        }
-        // The .cc-templated pipelines are instantiated for the five base
-        // policies; AttrWeightedPolicy inherits the Base hooks unchanged,
-        // so they run on the Base facet over the reweighted substrate.
-        return RunPipeline(dataset, weighted->loss(), config,
-                           static_cast<const Base&>(*weighted), &counters);
-      });
+  // Attribute weights only reweight the cost substrate
+  // (PrecomputedLoss::WithAttributeWeights); every pipeline then runs
+  // unchanged on the reweighted copy.
+  if (!config.attr_weights.empty()) {
+    KANON_RETURN_NOT_OK(ValidateAttrWeights(loss, config.attr_weights));
+  }
+  Result<GeneralizedTable> table =
+      config.attr_weights.empty()
+          ? RunPipeline(dataset, loss, config, &counters)
+          : RunPipeline(dataset, loss.WithAttributeWeights(config.attr_weights),
+                        config, &counters);
   if (!table.ok()) return table.status();
 
   AnonymizationResult result{std::move(table).value(),

@@ -6,6 +6,7 @@
 
 #include "kanon/algo/core/engine_counters.h"
 #include "kanon/algo/distance.h"
+#include "kanon/anonymity/verify.h"
 #include "kanon/common/result.h"
 #include "kanon/common/run_context.h"
 #include "kanon/data/dataset.h"
@@ -37,6 +38,11 @@ enum class AnonymizationMethod {
 
 const char* AnonymizationMethodName(AnonymizationMethod method);
 
+/// The anonymity notion a method promises: the contract its output is
+/// verified against (by kanon_cli after every run and by the kanon_check
+/// properties).
+AnonymityNotion PromisedNotion(AnonymizationMethod method);
+
 struct AnonymizerConfig {
   size_t k = 5;
   AnonymizationMethod method = AnonymizationMethod::kAgglomerative;
@@ -46,9 +52,10 @@ struct AnonymizerConfig {
   /// Per-attribute weights for the information-loss measure (empty = uniform,
   /// the default). With weights, every pipeline prices records by the
   /// weighted average Σ_j w_j·cost_j / Σw instead of (1/r)·Σ_j cost_j —
-  /// implemented by the AttrWeightedPolicy of algo/policy_weighted.h over a
-  /// reweighted cost substrate; no pipeline knows weights exist. Requires
-  /// one finite weight >= 0 per attribute with a positive sum. The reported
+  /// implemented as a transform of the cost substrate
+  /// (PrecomputedLoss::WithAttributeWeights) that the chosen pipeline then
+  /// runs on; no pipeline knows weights exist. Requires one finite weight
+  /// >= 0 per attribute with a positive sum. The reported
   /// AnonymizationResult::loss stays Π under the ORIGINAL (uniform) measure,
   /// so runs with different weights are comparable. CLI: --attr-weights.
   std::vector<double> attr_weights;

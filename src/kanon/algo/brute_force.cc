@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "kanon/algo/core/closure_store.h"
-#include "kanon/algo/policy.h"
 #include "kanon/common/check.h"
 #include "kanon/telemetry/tracer.h"
 
@@ -49,24 +48,18 @@ bool NextCombination(std::vector<size_t>* pick, size_t m) {
   return false;
 }
 
-// Enumerates partitions of {0..n-1} into parts the policy's Ripe hook
-// accepts (size >= k for every built-in), tracking the cheapest under the
-// policy's PairCost ranking. Rows are assigned in order; each row either
-// joins an existing part or opens a new one (canonical form prevents
-// duplicate partitions). Part costs go through an interned ClosureStore:
-// the same part recurs in many partitions, so each distinct part is closed
-// and priced exactly once.
-template <typename Policy>
+// Enumerates partitions of {0..n-1} into parts of size >= k, tracking the
+// cheapest. Rows are assigned in order; each row either joins an existing
+// part or opens a new one (canonical form prevents duplicate partitions).
+// Part costs go through an interned ClosureStore: the same part recurs in
+// many partitions, so each distinct part is closed and priced exactly once.
 class PartitionSearch {
-  KANON_ASSERT_CLUSTER_POLICY(Policy);
-
  public:
   PartitionSearch(const Dataset& dataset, const PrecomputedLoss& loss,
-                  size_t k, const Policy& policy, EngineCounters* counters)
+                  size_t k, EngineCounters* counters)
       : dataset_(dataset),
         k_(k),
         n_(dataset.num_rows()),
-        policy_(policy),
         counters_(counters),
         store_(loss) {}
 
@@ -86,22 +79,19 @@ class PartitionSearch {
   void Recurse(uint32_t row) {
     if (row == n_) {
       for (const auto& part : parts_) {
-        if (!policy_.Ripe(part.size(), k_)) return;
+        if (part.size() < k_) return;
       }
-      // Partitions are ranked by the policy's PairCost over the total loss
-      // (identity for every built-in policy).
-      const double total = policy_.PairCost(CurrentLoss());
+      const double total = CurrentLoss();
       if (total < best_loss_) {
         best_loss_ = total;
         best_parts_ = parts_;
       }
       return;
     }
-    // Prune: remaining rows must be able to fill all unripe parts. Ripe is
-    // contractually true at size >= k, so an unripe part is short of k.
+    // Prune: remaining rows must be able to fill all undersized parts.
     size_t deficit = 0;
     for (const auto& part : parts_) {
-      if (!policy_.Ripe(part.size(), k_)) deficit += k_ - part.size();
+      if (part.size() < k_) deficit += k_ - part.size();
     }
     if (deficit > n_ - row) return;
 
@@ -130,7 +120,6 @@ class PartitionSearch {
   const Dataset& dataset_;
   const size_t k_;
   const uint32_t n_;
-  const Policy policy_;
   EngineCounters* const counters_;
   ClosureStore store_;
 
@@ -141,20 +130,18 @@ class PartitionSearch {
 
 }  // namespace
 
-template <typename Policy>
-Result<Clustering> OptimalKAnonymityBruteForceWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, EngineCounters* counters) {
-  KANON_ASSERT_CLUSTER_POLICY(Policy);
+Result<Clustering> OptimalKAnonymityBruteForce(const Dataset& dataset,
+                                               const PrecomputedLoss& loss,
+                                               size_t k,
+                                               EngineCounters* counters) {
   KANON_RETURN_NOT_OK(ValidateArgs(dataset, loss, k, /*max_n=*/12));
-  return PartitionSearch<Policy>(dataset, loss, k, policy, counters).Run();
+  return PartitionSearch(dataset, loss, k, counters).Run();
 }
 
-template <typename Policy>
-Result<GeneralizedTable> OptimalK1BruteForceWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, EngineCounters* counters) {
-  KANON_ASSERT_CLUSTER_POLICY(Policy);
+Result<GeneralizedTable> OptimalK1BruteForce(const Dataset& dataset,
+                                             const PrecomputedLoss& loss,
+                                             size_t k,
+                                             EngineCounters* counters) {
   KANON_RETURN_NOT_OK(ValidateArgs(dataset, loss, k, /*max_n=*/16));
   PhaseSpan span(CurrentTracer(), "brute-force/search");
   const GeneralizationScheme& scheme = loss.scheme();
@@ -185,9 +172,7 @@ Result<GeneralizedTable> OptimalK1BruteForceWithPolicy(
       for (size_t t : pick) cluster.push_back(others[t]);
       const ClosureStore::Id closure =
           store.InternClosureOfRows(dataset, cluster);
-      // Companion subsets are ranked by the policy's PairCost over the
-      // closure cost (identity for every built-in policy).
-      const double cost = policy.PairCost(store.cost(closure));
+      const double cost = store.cost(closure);
       if (cost < best_cost) {
         best_cost = cost;
         best_closure = store.record(closure);
@@ -198,42 +183,6 @@ Result<GeneralizedTable> OptimalK1BruteForceWithPolicy(
   store.ExportCounters(counters);
   return table;
 }
-
-// The public oracles pin the default-config policy — the exhaustive
-// searches never carried a distance parameter, and the hooks they consume
-// (PairCost, Ripe) are identical across every built-in policy.
-Result<Clustering> OptimalKAnonymityBruteForce(const Dataset& dataset,
-                                               const PrecomputedLoss& loss,
-                                               size_t k,
-                                               EngineCounters* counters) {
-  return OptimalKAnonymityBruteForceWithPolicy(dataset, loss, k,
-                                               LogWeightedPolicy{}, counters);
-}
-
-Result<GeneralizedTable> OptimalK1BruteForce(const Dataset& dataset,
-                                             const PrecomputedLoss& loss,
-                                             size_t k,
-                                             EngineCounters* counters) {
-  return OptimalK1BruteForceWithPolicy(dataset, loss, k, LogWeightedPolicy{},
-                                       counters);
-}
-
-// The (pipeline × distance) instantiation matrix (docs/policy_engine.md).
-#define KANON_INSTANTIATE_BRUTE_FORCE_PIPELINE(POLICY)                      \
-  template Result<Clustering> OptimalKAnonymityBruteForceWithPolicy(        \
-      const Dataset&, const PrecomputedLoss&, size_t, const POLICY&,        \
-      EngineCounters*);                                                     \
-  template Result<GeneralizedTable> OptimalK1BruteForceWithPolicy(          \
-      const Dataset&, const PrecomputedLoss&, size_t, const POLICY&,        \
-      EngineCounters*)
-
-KANON_INSTANTIATE_BRUTE_FORCE_PIPELINE(WeightedPolicy);
-KANON_INSTANTIATE_BRUTE_FORCE_PIPELINE(PlainPolicy);
-KANON_INSTANTIATE_BRUTE_FORCE_PIPELINE(LogWeightedPolicy);
-KANON_INSTANTIATE_BRUTE_FORCE_PIPELINE(RatioPolicy);
-KANON_INSTANTIATE_BRUTE_FORCE_PIPELINE(NergizCliftonPolicy);
-
-#undef KANON_INSTANTIATE_BRUTE_FORCE_PIPELINE
 
 double ClusteringLoss(const Dataset& dataset, const PrecomputedLoss& loss,
                       const Clustering& clustering) {

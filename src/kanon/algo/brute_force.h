@@ -11,7 +11,8 @@ namespace kanon {
 
 /// Exhaustively optimal k-anonymization in the clustering model: the
 /// partition into parts of size ≥ k minimizing Π(D, g(D)). Exponential in
-/// n — a test oracle for tiny inputs (n ≤ ~10). Part closures are interned
+/// n — a test oracle for tiny inputs (n ≤ ~10); no cluster distance is
+/// involved. Part closures are interned
 /// in a ClosureStore, so the cost of a part recurring across partitions is
 /// computed once; the optional `counters` (not owned) reports the hit rate.
 Result<Clustering> OptimalKAnonymityBruteForce(
@@ -25,21 +26,6 @@ Result<Clustering> OptimalKAnonymityBruteForce(
 Result<GeneralizedTable> OptimalK1BruteForce(
     const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
     EngineCounters* counters = nullptr);
-
-/// Policy-parameterized variants (docs/policy_engine.md): the policy's
-/// PairCost hook ranks partition totals / companion-subset costs and Ripe
-/// accepts parts; every built-in distance policy keeps both at the
-/// identity defaults. Defined in brute_force.cc and explicitly instantiated
-/// per (pipeline × distance).
-template <typename Policy>
-Result<Clustering> OptimalKAnonymityBruteForceWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, EngineCounters* counters = nullptr);
-
-template <typename Policy>
-Result<GeneralizedTable> OptimalK1BruteForceWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, EngineCounters* counters = nullptr);
 
 /// The information loss of a clustering under `loss`:
 /// Π = (1/n) Σ_S |S|·d(S) (eq. (7)).

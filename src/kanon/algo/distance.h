@@ -43,10 +43,10 @@ struct DistanceParams {
 /// overlapping arguments as the paper specifies.
 ///
 /// This out-of-line switch is the *scalar reference implementation*: the
-/// engines themselves run on the inlined Distance hook of their ClusterPolicy
-/// (algo/policy.h, dispatched once per pipeline entry — never per pair), and
-/// the policy conformance tests plus the dispatch-vs-policy micro-benchmark
-/// pin each policy's hook to this function bit for bit. See
+/// agglomerative engine runs on the inlined Distance hook of its
+/// ClusterPolicy (algo/policy.h, dispatched once per run — never per pair),
+/// and the policy conformance tests plus the dispatch-vs-policy
+/// micro-benchmark pin each policy's hook to this function bit for bit. See
 /// docs/policy_engine.md.
 double EvalDistance(DistanceFunction f, const DistanceParams& params,
                     size_t size_a, size_t size_b, size_t size_union,

@@ -17,7 +17,8 @@ namespace kanon {
 /// Runs the agglomerative k-anonymizer and then repairs diversity: any
 /// cluster whose rows carry fewer than ℓ distinct class values is merged
 /// with the cluster whose union closure is cheapest, until every cluster
-/// is ℓ-diverse. The result is k-anonymous AND distinct ℓ-diverse.
+/// is ℓ-diverse. Only the clustering stage reads `options.distance` (via
+/// AgglomerativeCluster); the repair ranks partners by plain closure cost. The result is k-anonymous AND distinct ℓ-diverse.
 ///
 /// Requires dataset.has_class_column(), 1 ≤ ℓ ≤ #classes, and that the
 /// dataset as a whole carries at least ℓ distinct class values (otherwise
@@ -31,16 +32,6 @@ Result<Clustering> LDiverseCluster(const Dataset& dataset,
 Result<GeneralizedTable> LDiverseKAnonymize(
     const Dataset& dataset, const PrecomputedLoss& loss, size_t k, size_t l,
     const AgglomerativeOptions& options);
-
-/// Policy-parameterized variant (docs/policy_engine.md): the clustering
-/// stage runs on the policy's inlined Distance hook and the repair pass
-/// ranks merge partners through PairCost. `options.distance` is ignored —
-/// the policy IS the distance. Defined in diverse_anonymizer.cc and
-/// explicitly instantiated per (pipeline × distance).
-template <typename Policy>
-Result<Clustering> LDiverseClusterWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k, size_t l,
-    const AgglomerativeOptions& options, const Policy& policy);
 
 }  // namespace kanon
 

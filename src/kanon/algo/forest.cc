@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "kanon/algo/core/union_find.h"
-#include "kanon/algo/policy.h"
 #include "kanon/common/check.h"
 #include "kanon/common/failpoint.h"
 #include "kanon/loss/kernels.h"
@@ -16,22 +15,12 @@ namespace {
 
 constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
-// The forest's per-pair decisions are raw pairwise closure costs, so the
-// policy contributes its cost hooks: PairCost weighs the candidate edges of
-// phase 1 and Ripe decides when a component stops growing. Every built-in
-// distance policy leaves both at the identity defaults — the five
-// instantiations below behave identically by construction.
-template <typename Policy>
 class ForestBuilder {
-  KANON_ASSERT_CLUSTER_POLICY(Policy);
-
  public:
   ForestBuilder(const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-                const Policy& policy, RunContext* ctx,
-                EngineCounters* counters)
+                RunContext* ctx, EngineCounters* counters)
       : k_(k),
         n_(dataset.num_rows()),
-        policy_(policy),
         ctx_(ctx),
         counters_(counters),
         kernels_(dataset, loss),
@@ -71,9 +60,8 @@ class ForestBuilder {
     kernels_.PairCostSweep(u, pair_w_.data());
     for (uint32_t v = 0; v < n_; ++v) {
       if (uf_.Find(v) == root) continue;
-      const double w = policy_.PairCost(pair_w_[v]);
-      if (w < best_w_[u]) {
-        best_w_[u] = w;
+      if (pair_w_[v] < best_w_[u]) {
+        best_w_[u] = pair_w_[v];
         best_v_[u] = v;
       }
     }
@@ -107,8 +95,8 @@ class ForestBuilder {
       KANON_FAILPOINT("forest.closure");
       const uint32_t root = pending.back();
       pending.pop_back();
-      if (uf_.Find(root) != root) continue;               // Stale: merged away.
-      if (policy_.Ripe(members_[root].size(), k_)) continue;  // Big enough.
+      if (uf_.Find(root) != root) continue;          // Stale: merged away.
+      if (members_[root].size() >= k_) continue;     // Already big enough.
 
       // Cheapest outgoing edge of the component.
       uint32_t best_u = kNone;
@@ -136,7 +124,7 @@ class ForestBuilder {
                                    members_[losing_root].end());
       members_[losing_root].clear();
       members_[losing_root].shrink_to_fit();
-      if (!policy_.Ripe(members_[merged_root].size(), k_)) {
+      if (members_[merged_root].size() < k_) {
         pending.push_back(merged_root);
       }
     }
@@ -151,7 +139,7 @@ class ForestBuilder {
     std::vector<uint32_t> pool;
     for (uint32_t i = 0; i < n_; ++i) {
       if (uf_.Find(i) != i || members_[i].empty()) continue;
-      if (policy_.Ripe(members_[i].size(), k_)) {
+      if (members_[i].size() >= k_) {
         std::vector<uint32_t> tree = members_[i];
         std::sort(tree.begin(), tree.end());
         out->clusters.push_back(std::move(tree));
@@ -304,7 +292,6 @@ class ForestBuilder {
 
   const size_t k_;
   const size_t n_;
-  const Policy policy_;
   RunContext* const ctx_;
   EngineCounters* const counters_;
 
@@ -319,12 +306,9 @@ class ForestBuilder {
 
 }  // namespace
 
-template <typename Policy>
-Result<Clustering> ForestClusterWithPolicy(const Dataset& dataset,
-                                           const PrecomputedLoss& loss,
-                                           size_t k, const Policy& policy,
-                                           RunContext* ctx,
-                                           EngineCounters* counters) {
+Result<Clustering> ForestCluster(const Dataset& dataset,
+                                 const PrecomputedLoss& loss, size_t k,
+                                 RunContext* ctx, EngineCounters* counters) {
   const size_t n = dataset.num_rows();
   if (k < 1) {
     return Status::InvalidArgument("k must be at least 1");
@@ -337,27 +321,7 @@ Result<Clustering> ForestClusterWithPolicy(const Dataset& dataset,
   if (dataset.num_attributes() != loss.scheme().num_attributes()) {
     return Status::InvalidArgument("dataset/loss arity mismatch");
   }
-  return ForestBuilder<Policy>(dataset, loss, k, policy, ctx, counters).Run();
-}
-
-template <typename Policy>
-Result<GeneralizedTable> ForestKAnonymizeWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, RunContext* ctx, EngineCounters* counters) {
-  KANON_ASSIGN_OR_RETURN(
-      Clustering clustering,
-      ForestClusterWithPolicy(dataset, loss, k, policy, ctx, counters));
-  return TableFromClustering(loss.scheme_ptr(), dataset, clustering);
-}
-
-// The public entries pin the default-config policy — the forest never
-// carried a distance parameter, and the cost hooks are identical across
-// every built-in policy anyway.
-Result<Clustering> ForestCluster(const Dataset& dataset,
-                                 const PrecomputedLoss& loss, size_t k,
-                                 RunContext* ctx, EngineCounters* counters) {
-  return ForestClusterWithPolicy(dataset, loss, k, LogWeightedPolicy{}, ctx,
-                                 counters);
+  return ForestBuilder(dataset, loss, k, ctx, counters).Run();
 }
 
 Result<GeneralizedTable> ForestKAnonymize(const Dataset& dataset,
@@ -368,22 +332,5 @@ Result<GeneralizedTable> ForestKAnonymize(const Dataset& dataset,
                          ForestCluster(dataset, loss, k, ctx, counters));
   return TableFromClustering(loss.scheme_ptr(), dataset, clustering);
 }
-
-// The (pipeline × distance) instantiation matrix (docs/policy_engine.md).
-#define KANON_INSTANTIATE_FOREST_PIPELINE(POLICY)                 \
-  template Result<Clustering> ForestClusterWithPolicy(            \
-      const Dataset&, const PrecomputedLoss&, size_t,             \
-      const POLICY&, RunContext*, EngineCounters*);               \
-  template Result<GeneralizedTable> ForestKAnonymizeWithPolicy(   \
-      const Dataset&, const PrecomputedLoss&, size_t,             \
-      const POLICY&, RunContext*, EngineCounters*)
-
-KANON_INSTANTIATE_FOREST_PIPELINE(WeightedPolicy);
-KANON_INSTANTIATE_FOREST_PIPELINE(PlainPolicy);
-KANON_INSTANTIATE_FOREST_PIPELINE(LogWeightedPolicy);
-KANON_INSTANTIATE_FOREST_PIPELINE(RatioPolicy);
-KANON_INSTANTIATE_FOREST_PIPELINE(NergizCliftonPolicy);
-
-#undef KANON_INSTANTIATE_FOREST_PIPELINE
 
 }  // namespace kanon

@@ -22,7 +22,8 @@ namespace kanon {
 /// [k, 3k−3] (cutting at the deepest vertex whose subtree has ≥ k nodes,
 /// grouping child subtrees when necessary).
 ///
-/// The resulting trees become the clusters of the anonymization.
+/// The resulting trees become the clusters of the anonymization. No
+/// cluster distance is involved: edges are ranked by plain closure cost.
 ///
 /// When `ctx` stops the run, phase 1 pools the records of still-undersized
 /// components (attaching a < k pool to an already-grown tree) and phase 2's
@@ -38,24 +39,6 @@ Result<Clustering> ForestCluster(const Dataset& dataset,
 Result<GeneralizedTable> ForestKAnonymize(
     const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
     RunContext* ctx = nullptr, EngineCounters* counters = nullptr);
-
-/// Policy-parameterized variants (docs/policy_engine.md): the policy's
-/// PairCost hook weighs phase 1's candidate edges and Ripe is the component
-/// stopping predicate; the built-in distance policies keep both at the
-/// identity defaults, so all five instantiations behave identically.
-/// Defined in forest.cc, explicitly instantiated per (pipeline × distance).
-template <typename Policy>
-Result<Clustering> ForestClusterWithPolicy(const Dataset& dataset,
-                                           const PrecomputedLoss& loss,
-                                           size_t k, const Policy& policy,
-                                           RunContext* ctx = nullptr,
-                                           EngineCounters* counters = nullptr);
-
-template <typename Policy>
-Result<GeneralizedTable> ForestKAnonymizeWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, RunContext* ctx = nullptr,
-    EngineCounters* counters = nullptr);
 
 }  // namespace kanon
 

@@ -34,7 +34,8 @@ struct GlobalAnonymizationResult {
 /// neighbor R̄_{j_h} minimizing c(R_{j_h} + R̄_i) − c(R̄_i) is chosen and
 /// R̄_i is generalized to also cover the original record R_{j_h}; this
 /// upgrades R̄_{j_h} to a match of R_i (swap the two pairs in the identity
-/// matching), and is repeated until R_i has at least k matches.
+/// matching), and is repeated until R_i has at least k matches. The price
+/// is a plain closure-cost difference; no cluster distance is involved.
 ///
 /// Requires `table` to be row-aligned with `dataset` with R̄_i generalizing
 /// R_i (as the algorithms of Section V-B produce), and to satisfy
@@ -49,17 +50,6 @@ struct GlobalAnonymizationResult {
 Result<GlobalAnonymizationResult> MakeGlobal1KAnonymous(
     const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
     GeneralizedTable table, RunContext* ctx = nullptr,
-    EngineCounters* counters = nullptr);
-
-/// Policy-parameterized variant (docs/policy_engine.md): the policy's
-/// MergeDelta hook transforms the upgrade prices of Algorithm 6 and Ripe is
-/// the match-count stopping predicate; every built-in distance policy keeps
-/// both at the identity defaults. Defined in global_anonymizer.cc and
-/// explicitly instantiated per (pipeline × distance).
-template <typename Policy>
-Result<GlobalAnonymizationResult> MakeGlobal1KAnonymousWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    GeneralizedTable table, const Policy& policy, RunContext* ctx = nullptr,
     EngineCounters* counters = nullptr);
 
 }  // namespace kanon

@@ -29,7 +29,8 @@ namespace kanon {
 ///
 /// The solver is a greedy full-domain ascent: starting from all-exact, it
 /// repeatedly raises the level of the attribute whose increment yields the
-/// smallest information loss until the table is k-anonymous. All-suppressed
+/// smallest information loss (no cluster distance is involved) until the
+/// table is k-anonymous. All-suppressed
 /// is k-anonymous for every k ≤ n, so the search always terminates.
 struct GlobalRecodingResult {
   GeneralizedTable table;
@@ -47,17 +48,6 @@ struct GlobalRecodingResult {
 Result<GlobalRecodingResult> GlobalRecodingKAnonymize(
     const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
     RunContext* ctx = nullptr, int num_threads = 1,
-    EngineCounters* counters = nullptr);
-
-/// Policy-parameterized variant (docs/policy_engine.md): the policy's
-/// PairCost hook ranks the per-attribute trial bumps of the ascent and Ripe
-/// is the group-size predicate of the k-anonymity check; every built-in
-/// distance policy keeps both at the identity defaults. Defined in
-/// global_recoding.cc and explicitly instantiated per (pipeline × distance).
-template <typename Policy>
-Result<GlobalRecodingResult> GlobalRecodingKAnonymizeWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, RunContext* ctx = nullptr, int num_threads = 1,
     EngineCounters* counters = nullptr);
 
 /// The per-attribute level count (level 0 .. NumLevels-1); exposed for

@@ -119,12 +119,11 @@ void AccountSweep(const PrecomputedLoss& loss, const GeneralizedTable& table,
 
 }  // namespace
 
-template <typename Policy>
-Result<GeneralizedTable> K1NearestNeighborsWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, RunContext* ctx, int num_threads,
-    EngineCounters* counters) {
-  KANON_ASSERT_CLUSTER_POLICY(Policy);
+Result<GeneralizedTable> K1NearestNeighbors(const Dataset& dataset,
+                                            const PrecomputedLoss& loss,
+                                            size_t k, RunContext* ctx,
+                                            int num_threads,
+                                            EngineCounters* counters) {
   KANON_RETURN_NOT_OK(ValidateArgs(dataset, loss, k));
   PhaseSpan phase(CurrentTracer(), "kk/k1-nn");
   const GeneralizationScheme& scheme = loss.scheme();
@@ -160,10 +159,7 @@ Result<GeneralizedTable> K1NearestNeighborsWithPolicy(
           candidates.clear();
           for (uint32_t j = 0; j < n; ++j) {
             if (j == i) continue;
-            // The candidate weight is the pairwise closure cost
-            // d({R_i, R_j}); the policy's PairCost hook (identity for every
-            // built-in distance) is the one knob on this ranking.
-            candidates.emplace_back(policy.PairCost(joined[j]), j);
+            candidates.emplace_back(joined[j], j);
           }
           std::partial_sort(candidates.begin(),
                             candidates.begin() + static_cast<ptrdiff_t>(k - 1),
@@ -191,12 +187,11 @@ Result<GeneralizedTable> K1NearestNeighborsWithPolicy(
   return table;
 }
 
-template <typename Policy>
-Result<GeneralizedTable> K1GreedyExpansionWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, RunContext* ctx, int num_threads,
-    EngineCounters* counters) {
-  KANON_ASSERT_CLUSTER_POLICY(Policy);
+Result<GeneralizedTable> K1GreedyExpansion(const Dataset& dataset,
+                                           const PrecomputedLoss& loss,
+                                           size_t k, RunContext* ctx,
+                                           int num_threads,
+                                           EngineCounters* counters) {
   KANON_RETURN_NOT_OK(ValidateArgs(dataset, loss, k));
   PhaseSpan phase(CurrentTracer(), "kk/k1-greedy");
   const GeneralizationScheme& scheme = loss.scheme();
@@ -230,7 +225,7 @@ Result<GeneralizedTable> K1GreedyExpansionWithPolicy(
           in_cluster.assign(n, false);
           in_cluster[i] = true;
 
-          while (!policy.Ripe(cluster_size, k)) {
+          while (cluster_size < k) {
             // One scan per closure change. Records already inside the
             // closure cost nothing to add; absorb them greedily up to k.
             // Coverage and joined costs depend only on the (fixed) closure,
@@ -241,8 +236,7 @@ Result<GeneralizedTable> K1GreedyExpansionWithPolicy(
             uint32_t best = std::numeric_limits<uint32_t>::max();
             double best_delta = std::numeric_limits<double>::infinity();
             bool absorbed_free = false;
-            for (uint32_t j = 0; j < n && !policy.Ripe(cluster_size, k);
-                 ++j) {
+            for (uint32_t j = 0; j < n && cluster_size < k; ++j) {
               if (in_cluster[j]) continue;
               if (covered[j]) {
                 // dist(S_i, R_j) = d(S_i ∪ {R_j}) − d(S_i) = 0: minimal.
@@ -251,15 +245,13 @@ Result<GeneralizedTable> K1GreedyExpansionWithPolicy(
                 absorbed_free = true;
                 continue;
               }
-              // dist(S_i, R_j) = d(S_i ∪ {R_j}) − d(S_i), routed through the
-              // policy's MergeDelta hook (identity for every built-in).
-              const double delta = policy.MergeDelta(joined[j] - closure_cost);
+              const double delta = joined[j] - closure_cost;
               if (delta < best_delta) {
                 best_delta = delta;
                 best = j;
               }
             }
-            if (policy.Ripe(cluster_size, k)) break;
+            if (cluster_size >= k) break;
             if (absorbed_free) {
               // Cluster grew without changing the closure; candidates from
               // this scan remain valid, but rescanning keeps the code simple
@@ -296,12 +288,11 @@ Result<GeneralizedTable> K1GreedyExpansionWithPolicy(
   return table;
 }
 
-template <typename Policy>
-Result<GeneralizedTable> Make1KAnonymousWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    GeneralizedTable table, const Policy& policy, RunContext* ctx,
-    int num_threads, EngineCounters* counters) {
-  KANON_ASSERT_CLUSTER_POLICY(Policy);
+Result<GeneralizedTable> Make1KAnonymous(const Dataset& dataset,
+                                         const PrecomputedLoss& loss, size_t k,
+                                         GeneralizedTable table,
+                                         RunContext* ctx, int num_threads,
+                                         EngineCounters* counters) {
   KANON_RETURN_NOT_OK(ValidateArgs(dataset, loss, k));
   if (table.num_rows() != dataset.num_rows()) {
     return Status::InvalidArgument(
@@ -351,12 +342,8 @@ Result<GeneralizedTable> Make1KAnonymousWithPolicy(
                     scheme.hierarchy(j).JoinValue(current, record[j]);
                 delta += loss.EntryCost(j, joined) - loss.EntryCost(j, current);
               }
-              // The accumulated price goes through MergeDelta after the /r
-              // normalization so the additions (and hence the bits) match
-              // the pre-policy scan exactly under the identity hook.
-              part.candidates.emplace_back(
-                  policy.MergeDelta(delta / static_cast<double>(r)),
-                  static_cast<uint32_t>(t));
+              part.candidates.emplace_back(delta / static_cast<double>(r),
+                                           static_cast<uint32_t>(t));
             }
           }
         });
@@ -368,7 +355,7 @@ Result<GeneralizedTable> Make1KAnonymousWithPolicy(
       candidates.insert(candidates.end(), parts[chunk].candidates.begin(),
                         parts[chunk].candidates.end());
     }
-    if (policy.Ripe(consistent, k)) continue;
+    if (consistent >= k) continue;
     const size_t deficit = k - consistent;
     if (counters != nullptr) counters->upgrade_steps += deficit;
     KANON_CHECK(candidates.size() >= deficit,
@@ -383,89 +370,21 @@ Result<GeneralizedTable> Make1KAnonymousWithPolicy(
   return table;
 }
 
-template <typename Policy>
-Result<GeneralizedTable> KKAnonymizeWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    K1Algorithm k1_algorithm, const Policy& policy, RunContext* ctx,
-    int num_threads, EngineCounters* counters) {
-  Result<GeneralizedTable> k1 =
-      k1_algorithm == K1Algorithm::kNearestNeighbors
-          ? K1NearestNeighborsWithPolicy(dataset, loss, k, policy, ctx,
-                                         num_threads, counters)
-          : K1GreedyExpansionWithPolicy(dataset, loss, k, policy, ctx,
-                                        num_threads, counters);
-  if (!k1.ok()) return k1.status();
-  // A stopped context keeps reporting stopped, so a (k,1) stage cut short
-  // flows into the repair stage's wholesale fallback — the final table is
-  // (k,k)-anonymous either way.
-  return Make1KAnonymousWithPolicy(dataset, loss, k, std::move(k1).value(),
-                                   policy, ctx, num_threads, counters);
-}
-
-// The public non-policy entries keep their historical distance-agnostic
-// behavior. Any built-in policy would do — the (k,1)/(k,k) pipelines only
-// use the cost hooks, which all built-ins leave at the identity defaults —
-// so they pin the default-config policy rather than dispatching on an enum
-// they never carried.
-Result<GeneralizedTable> K1NearestNeighbors(const Dataset& dataset,
-                                            const PrecomputedLoss& loss,
-                                            size_t k, RunContext* ctx,
-                                            int num_threads,
-                                            EngineCounters* counters) {
-  return K1NearestNeighborsWithPolicy(dataset, loss, k, LogWeightedPolicy{},
-                                      ctx, num_threads, counters);
-}
-
-Result<GeneralizedTable> K1GreedyExpansion(const Dataset& dataset,
-                                           const PrecomputedLoss& loss,
-                                           size_t k, RunContext* ctx,
-                                           int num_threads,
-                                           EngineCounters* counters) {
-  return K1GreedyExpansionWithPolicy(dataset, loss, k, LogWeightedPolicy{},
-                                     ctx, num_threads, counters);
-}
-
-Result<GeneralizedTable> Make1KAnonymous(const Dataset& dataset,
-                                         const PrecomputedLoss& loss, size_t k,
-                                         GeneralizedTable table,
-                                         RunContext* ctx, int num_threads,
-                                         EngineCounters* counters) {
-  return Make1KAnonymousWithPolicy(dataset, loss, k, std::move(table),
-                                   LogWeightedPolicy{}, ctx, num_threads,
-                                   counters);
-}
-
 Result<GeneralizedTable> KKAnonymize(const Dataset& dataset,
                                      const PrecomputedLoss& loss, size_t k,
                                      K1Algorithm k1_algorithm, RunContext* ctx,
                                      int num_threads,
                                      EngineCounters* counters) {
-  return KKAnonymizeWithPolicy(dataset, loss, k, k1_algorithm,
-                               LogWeightedPolicy{}, ctx, num_threads,
-                               counters);
+  Result<GeneralizedTable> k1 =
+      k1_algorithm == K1Algorithm::kNearestNeighbors
+          ? K1NearestNeighbors(dataset, loss, k, ctx, num_threads, counters)
+          : K1GreedyExpansion(dataset, loss, k, ctx, num_threads, counters);
+  if (!k1.ok()) return k1.status();
+  // A stopped context keeps reporting stopped, so a (k,1) stage cut short
+  // flows into the repair stage's wholesale fallback — the final table is
+  // (k,k)-anonymous either way.
+  return Make1KAnonymous(dataset, loss, k, std::move(k1).value(), ctx,
+                         num_threads, counters);
 }
-
-// The (pipeline × distance) instantiation matrix (docs/policy_engine.md).
-#define KANON_INSTANTIATE_KK_PIPELINE(POLICY)                                 \
-  template Result<GeneralizedTable> K1NearestNeighborsWithPolicy(             \
-      const Dataset&, const PrecomputedLoss&, size_t, const POLICY&,          \
-      RunContext*, int, EngineCounters*);                                     \
-  template Result<GeneralizedTable> K1GreedyExpansionWithPolicy(              \
-      const Dataset&, const PrecomputedLoss&, size_t, const POLICY&,          \
-      RunContext*, int, EngineCounters*);                                     \
-  template Result<GeneralizedTable> Make1KAnonymousWithPolicy(                \
-      const Dataset&, const PrecomputedLoss&, size_t, GeneralizedTable,       \
-      const POLICY&, RunContext*, int, EngineCounters*);                      \
-  template Result<GeneralizedTable> KKAnonymizeWithPolicy(                    \
-      const Dataset&, const PrecomputedLoss&, size_t, K1Algorithm,            \
-      const POLICY&, RunContext*, int, EngineCounters*)
-
-KANON_INSTANTIATE_KK_PIPELINE(WeightedPolicy);
-KANON_INSTANTIATE_KK_PIPELINE(PlainPolicy);
-KANON_INSTANTIATE_KK_PIPELINE(LogWeightedPolicy);
-KANON_INSTANTIATE_KK_PIPELINE(RatioPolicy);
-KANON_INSTANTIATE_KK_PIPELINE(NergizCliftonPolicy);
-
-#undef KANON_INSTANTIATE_KK_PIPELINE
 
 }  // namespace kanon

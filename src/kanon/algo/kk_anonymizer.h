@@ -2,7 +2,6 @@
 #define KANON_ALGO_KK_ANONYMIZER_H_
 
 #include "kanon/algo/core/engine_counters.h"
-#include "kanon/algo/policy.h"
 #include "kanon/common/result.h"
 #include "kanon/common/run_context.h"
 #include "kanon/data/dataset.h"
@@ -19,8 +18,10 @@ namespace kanon {
 /// suppressed — every suppressed record covers all n ≥ k originals, so
 /// (k,1)-anonymity is preserved.
 ///
-/// All functions here take `num_threads` (<= 0 resolves to the hardware
-/// concurrency) for the row-wise O(n²·r) scans; results are byte-identical
+/// None of the functions here reads a cluster distance: candidates are
+/// ranked by plain closure cost, and clusters stop at size k. All take
+/// `num_threads` (<= 0 resolves to the hardware concurrency) for the
+/// row-wise O(n²·r) scans; results are byte-identical
 /// at every thread count (see docs/parallelism.md). The optional `counters`
 /// (not owned) accumulates engine telemetry — closure interning hit rates,
 /// upgrade steps, sweep chunks — also deterministic at every thread count.
@@ -75,41 +76,6 @@ Result<GeneralizedTable> KKAnonymize(const Dataset& dataset,
                                      RunContext* ctx = nullptr,
                                      int num_threads = 1,
                                      EngineCounters* counters = nullptr);
-
-/// Policy-parameterized variants (docs/policy_engine.md). The (k,1)/(k,k)
-/// pipelines make their per-pair decisions on raw closure costs, so they
-/// consume only the policy's cost hooks — `PairCost` ranks the Algorithm 3
-/// candidates, `MergeDelta` transforms the Algorithm 4 expansion deltas and
-/// the Algorithm 5 upgrade prices, and `Ripe` is the cluster/consistency
-/// stopping predicate. Every built-in distance policy keeps those hooks at
-/// their identity defaults, so all five instantiations behave identically;
-/// the hooks exist so a policy can reshape the merge rule without touching
-/// this pipeline. Defined in kk_anonymizer.cc and explicitly instantiated
-/// per (pipeline × distance) — one line there per new policy that needs
-/// novel cost hooks.
-template <typename Policy>
-Result<GeneralizedTable> K1NearestNeighborsWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, RunContext* ctx = nullptr, int num_threads = 1,
-    EngineCounters* counters = nullptr);
-
-template <typename Policy>
-Result<GeneralizedTable> K1GreedyExpansionWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    const Policy& policy, RunContext* ctx = nullptr, int num_threads = 1,
-    EngineCounters* counters = nullptr);
-
-template <typename Policy>
-Result<GeneralizedTable> Make1KAnonymousWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    GeneralizedTable table, const Policy& policy, RunContext* ctx = nullptr,
-    int num_threads = 1, EngineCounters* counters = nullptr);
-
-template <typename Policy>
-Result<GeneralizedTable> KKAnonymizeWithPolicy(
-    const Dataset& dataset, const PrecomputedLoss& loss, size_t k,
-    K1Algorithm k1_algorithm, const Policy& policy, RunContext* ctx = nullptr,
-    int num_threads = 1, EngineCounters* counters = nullptr);
 
 }  // namespace kanon
 

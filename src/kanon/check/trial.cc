@@ -23,22 +23,6 @@ const std::vector<AnonymizationMethod>& AllMethods() {
   return methods;
 }
 
-AnonymityNotion PromisedNotion(AnonymizationMethod method) {
-  switch (method) {
-    case AnonymizationMethod::kAgglomerative:
-    case AnonymizationMethod::kModifiedAgglomerative:
-    case AnonymizationMethod::kForest:
-    case AnonymizationMethod::kFullDomain:
-      return AnonymityNotion::kKAnonymity;
-    case AnonymizationMethod::kKKNearestNeighbors:
-    case AnonymizationMethod::kKKGreedyExpansion:
-      return AnonymityNotion::kKK;
-    case AnonymizationMethod::kGlobal:
-      return AnonymityNotion::kGlobalOneK;
-  }
-  return AnonymityNotion::kKAnonymity;
-}
-
 const char* MethodShortName(AnonymizationMethod method) {
   switch (method) {
     case AnonymizationMethod::kAgglomerative:

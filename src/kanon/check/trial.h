@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "kanon/algo/anonymizer.h"
-#include "kanon/anonymity/verify.h"
 #include "kanon/check/generators.h"
 #include "kanon/common/result.h"
 #include "kanon/data/dataset.h"
@@ -46,10 +45,6 @@ struct TrialData {
 
 /// All seven pipelines, in the canonical (enum) order.
 const std::vector<AnonymizationMethod>& AllMethods();
-
-/// The anonymity notion a pipeline promises (the contract its output is
-/// verified against).
-AnonymityNotion PromisedNotion(AnonymizationMethod method);
 
 /// CLI-style short method names ("agglomerative", "modified", "forest",
 /// "kk-nn", "kk-greedy", "global", "full-domain") — the vocabulary of

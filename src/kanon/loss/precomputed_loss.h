@@ -79,10 +79,9 @@ class PrecomputedLoss {
 
   /// A copy whose attribute-j cost row is scaled by w_j·r/Σw, so that
   /// RecordCost computes the weight-normalized average Σ_j w_j·cost_j / Σw
-  /// through the unchanged (1/r) kernels. The substrate of the
-  /// weighted-attribute cluster policy (algo/policy_weighted.h): every
-  /// pipeline prices clusters on the reweighted copy without knowing
-  /// weights exist. Uniform power-of-two weights (1.0 included) give scale
+  /// through the unchanged (1/r) kernels. This is the whole of
+  /// AnonymizerConfig::attr_weights: every pipeline prices clusters on the
+  /// reweighted copy without knowing weights exist. Uniform power-of-two weights (1.0 included) give scale
   /// 1.0 exactly (bit-identical costs); doubling all weights leaves every
   /// scale bit-identical.
   /// Requires exactly one finite weight >= 0 per attribute with Σw > 0

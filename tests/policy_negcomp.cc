@@ -14,17 +14,14 @@
 namespace kanon {
 namespace {
 
-// Looks like a policy, but Distance returns the wrong type and the stopping
-// hook is missing entirely — the two most likely authoring mistakes.
+// Looks like a policy, but Distance returns the wrong type — the most
+// likely authoring mistake.
 struct BrokenPolicy {
   static constexpr const char* kName = "broken";
   static constexpr bool kAsymmetric = false;
   int Distance(size_t, size_t, size_t, double, double, double) const {
     return 0;
   }
-  double PairCost(double d) const { return d; }
-  double MergeDelta(double delta) const { return delta; }
-  // No Ripe(size, k).
 };
 
 KANON_ASSERT_CLUSTER_POLICY(BrokenPolicy);

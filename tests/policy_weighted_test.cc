@@ -1,6 +1,6 @@
-// Tests for the weighted-attribute cluster policy (algo/policy_weighted.h)
-// — the policy landed to prove the engine's extensibility contract — and
-// for its AnonymizerConfig::attr_weights plumbing.
+// Tests for weighted attributes (AnonymizerConfig::attr_weights): a
+// transform of the cost substrate (PrecomputedLoss::WithAttributeWeights)
+// that every pipeline runs on unchanged.
 //
 // Determinism: uniform weights (power-of-two magnitudes, 1.0 included)
 // reweight every cost row by exactly 1.0, so the weighted run must be
@@ -16,7 +16,6 @@
 #include "kanon/algo/agglomerative_engine.h"
 #include "kanon/algo/anonymizer.h"
 #include "kanon/algo/policy.h"
-#include "kanon/algo/policy_weighted.h"
 #include "kanon/loss/entropy_measure.h"
 #include "kanon/loss/precomputed_loss.h"
 #include "test_util.h"
@@ -147,22 +146,27 @@ TEST(AttrWeightedPolicyTest, WithAttributeWeightsScalesCostRows) {
 }
 
 TEST(AttrWeightedPolicyTest, DrivesTheHeaderEngineWithoutPipelineEdits) {
-  // The extensibility contract, exercised the way a downstream policy
-  // author would: build the policy, hand it straight to the header-templated
-  // agglomerative engine, no pipeline file or instantiation list touched.
+  // Weights need no policy of their own: a built-in policy handed straight
+  // to the header-templated agglomerative engine over the reweighted
+  // substrate is the whole feature, and it reproduces what Anonymize
+  // publishes for the same weights.
   auto scheme = SmallScheme();
   const Dataset dataset = SmallRandomDataset(*scheme, 40, /*seed=*/47);
   const PrecomputedLoss loss(scheme, dataset, EntropyMeasure());
-  const AttrWeightedPolicy<LogWeightedPolicy> policy =
-      Unwrap(AttrWeightedPolicy<LogWeightedPolicy>::Create(
-          LogWeightedPolicy{}, loss, {2.0, 1.0}));
+  const PrecomputedLoss weighted = loss.WithAttributeWeights({2.0, 1.0});
   AgglomerativeOptions options;
   const Clustering clustering = Unwrap(AgglomerativeClusterWithPolicy(
-      dataset, policy.loss(), 3, options, policy));
+      dataset, weighted, 3, options, LogWeightedPolicy{}));
   EXPECT_TRUE(clustering.IsPartitionOf(dataset.num_rows()));
   for (const auto& cluster : clustering.clusters) {
     EXPECT_GE(cluster.size(), 3u);
   }
+  AnonymizerConfig config;
+  config.k = 3;
+  config.attr_weights = {2.0, 1.0};
+  const AnonymizationResult result = Unwrap(Anonymize(dataset, loss, config));
+  EXPECT_TRUE(result.table ==
+              TableFromClustering(scheme, dataset, clustering));
 }
 
 }  // namespace

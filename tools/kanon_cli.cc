@@ -193,23 +193,6 @@ std::string StatsJson(const AnonymizerConfig& config,
   return out.str();
 }
 
-AnonymityNotion PromisedNotion(AnonymizationMethod method) {
-  switch (method) {
-    case AnonymizationMethod::kAgglomerative:
-    case AnonymizationMethod::kModifiedAgglomerative:
-    case AnonymizationMethod::kForest:
-      return AnonymityNotion::kKAnonymity;
-    case AnonymizationMethod::kKKNearestNeighbors:
-    case AnonymizationMethod::kKKGreedyExpansion:
-      return AnonymityNotion::kKK;
-    case AnonymizationMethod::kGlobal:
-      return AnonymityNotion::kGlobalOneK;
-    case AnonymizationMethod::kFullDomain:
-      return AnonymityNotion::kKAnonymity;
-  }
-  return AnonymityNotion::kKAnonymity;
-}
-
 // One JSON object for a sharded run: outcome, per-shard accounting, and the
 // metrics registry. Stable field order; pinned by the cli_shard tests.
 std::string ShardStatsJson(const AnonymizerConfig& config,

@@ -9,18 +9,63 @@
 // The CSV carries the schema attributes only (no class column): it is the
 // exact input format kanon_cli ingests. Output is deterministic in
 // (dataset, rows, seed).
+//
+// kanon_cli infers each attribute's domain from the labels the CSV carries,
+// so the spec lists only those: every group is cut down to its observed
+// labels, and groups that end up empty, singletons, duplicates or the whole
+// observed domain are dropped (all of those are implicit). When every label
+// a group lists occurs, its line is exactly what FormatSchemeSpec writes.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "kanon/common/flags.h"
 #include "kanon/datasets/adult.h"
 #include "kanon/datasets/art.h"
 #include "kanon/datasets/cmc.h"
-#include "kanon/generalization/scheme_spec.h"
+#include "kanon/generalization/scheme.h"
 
 namespace kanon {
 namespace {
+
+// The generator's scheme restricted to the labels `dataset` carries.
+std::string ObservedSchemeSpec(const GeneralizationScheme& scheme,
+                               const Dataset& dataset) {
+  std::string out;
+  const Schema& schema = scheme.schema();
+  for (size_t j = 0; j < schema.num_attributes(); ++j) {
+    const AttributeDomain& domain = schema.attribute(j);
+    const Hierarchy& h = scheme.hierarchy(j);
+    std::vector<bool> seen(domain.size(), false);
+    for (size_t i = 0; i < dataset.num_rows(); ++i) {
+      seen[dataset.at(i, j)] = true;
+    }
+    const size_t observed =
+        static_cast<size_t>(std::count(seen.begin(), seen.end(), true));
+    std::set<std::vector<ValueCode>> listed;
+    out += "attribute " + domain.name() + " {\n";
+    for (SetId s = 0; s < h.num_sets(); ++s) {
+      std::vector<ValueCode> group;
+      for (ValueCode v : h.set(s).Values()) {
+        if (seen[v]) group.push_back(v);
+      }
+      if (group.size() <= 1 || group.size() >= observed ||
+          !listed.insert(group).second) {
+        continue;  // Implicit or already listed.
+      }
+      out += "  group";
+      for (ValueCode v : group) {
+        out += " " + domain.label(v);
+      }
+      out += "\n";
+    }
+    out += "}\n";
+  }
+  return out;
+}
 
 int RealMain(int argc, char** argv) {
   FlagParser flags;
@@ -81,7 +126,7 @@ int RealMain(int argc, char** argv) {
 
   if (!spec_out.empty()) {
     std::ofstream spec(spec_out);
-    spec << FormatSchemeSpec(*workload->scheme);
+    spec << ObservedSchemeSpec(*workload->scheme, dataset);
     spec.flush();
     if (!spec) {
       std::fprintf(stderr, "error writing %s\n", spec_out.c_str());
