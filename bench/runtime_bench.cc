@@ -269,20 +269,14 @@ int RunPhaseJson(size_t n) {
   const Workload w = bench::MustArtWorkload(n, 99);
   const PrecomputedLoss loss(w.scheme, w.dataset, EntropyMeasure());
 
-  struct Mode {
-    const char* name;
-    AnonymizationMethod method;
-  };
-  const Mode modes[] = {
-      {"agglomerative", AnonymizationMethod::kAgglomerative},
-      {"kk-greedy", AnonymizationMethod::kKKGreedyExpansion},
-      {"global", AnonymizationMethod::kGlobal},
-  };
-  for (const Mode& mode : modes) {
+  for (AnonymizationMethod method : {AnonymizationMethod::kAgglomerative,
+                                     AnonymizationMethod::kKKGreedyExpansion,
+                                     AnonymizationMethod::kGlobal}) {
+    const char* const name = MethodFlagName(method);
     Tracer tracer;
     AnonymizerConfig config;
     config.k = 10;
-    config.method = mode.method;
+    config.method = method;
     config.num_threads = DefaultNumThreads();
     config.tracer = &tracer;
     const Result<AnonymizationResult> result =
@@ -314,7 +308,7 @@ int RunPhaseJson(size_t n) {
           "{\"bench\":\"%s\",\"n\":%zu,\"phase\":\"%s\","
           "\"spans\":%llu,\"seconds\":%.6f,\"fraction\":%.3f,"
           "\"items\":%llu}\n",
-          mode.name, n, phase.c_str(),
+          name, n, phase.c_str(),
           static_cast<unsigned long long>(agg.spans), agg.seconds,
           total_seconds > 0.0 ? agg.seconds / total_seconds : 0.0,
           static_cast<unsigned long long>(agg.items));
@@ -322,7 +316,7 @@ int RunPhaseJson(size_t n) {
     std::printf(
         "{\"bench\":\"%s\",\"n\":%zu,\"phase\":\"total\",\"spans\":1,"
         "\"seconds\":%.6f,\"fraction\":1.000,\"items\":%llu}\n",
-        mode.name, n, total_seconds, static_cast<unsigned long long>(n));
+        name, n, total_seconds, static_cast<unsigned long long>(n));
   }
   return 0;
 }

@@ -17,27 +17,6 @@ namespace kanon {
 
 namespace {
 
-// Root-span labels: one literal per method (SpanEvent stores const char*).
-const char* PipelineSpanName(AnonymizationMethod method) {
-  switch (method) {
-    case AnonymizationMethod::kAgglomerative:
-      return "pipeline/agglomerative";
-    case AnonymizationMethod::kModifiedAgglomerative:
-      return "pipeline/modified-agglomerative";
-    case AnonymizationMethod::kForest:
-      return "pipeline/forest";
-    case AnonymizationMethod::kKKNearestNeighbors:
-      return "pipeline/kk-nearest-neighbors";
-    case AnonymizationMethod::kKKGreedyExpansion:
-      return "pipeline/kk-greedy-expansion";
-    case AnonymizationMethod::kGlobal:
-      return "pipeline/global-1k";
-    case AnonymizationMethod::kFullDomain:
-      return "pipeline/full-domain";
-  }
-  return "pipeline/unknown";
-}
-
 // Validates AnonymizerConfig::attr_weights: one finite weight >= 0 per
 // attribute of `loss`, with a positive sum (a zero weight is allowed — that
 // attribute generalizes for free — but not all of them).
@@ -119,23 +98,15 @@ Result<GeneralizedTable> RunPipeline(const Dataset& dataset,
 }  // namespace
 
 const char* AnonymizationMethodName(AnonymizationMethod method) {
-  switch (method) {
-    case AnonymizationMethod::kAgglomerative:
-      return "agglomerative";
-    case AnonymizationMethod::kModifiedAgglomerative:
-      return "modified-agglomerative";
-    case AnonymizationMethod::kForest:
-      return "forest";
-    case AnonymizationMethod::kKKNearestNeighbors:
-      return "kk-nearest-neighbors";
-    case AnonymizationMethod::kKKGreedyExpansion:
-      return "kk-greedy-expansion";
-    case AnonymizationMethod::kGlobal:
-      return "global-1k";
-    case AnonymizationMethod::kFullDomain:
-      return "full-domain";
-  }
-  return "unknown";
+  return NameOf(kMethodNames, method).display;
+}
+
+const char* MethodFlagName(AnonymizationMethod method) {
+  return NameOf(kMethodNames, method).flag;
+}
+
+Result<AnonymizationMethod> ParseMethodName(const std::string& flag) {
+  return ParseFlagName(kMethodNames, flag, "method");
 }
 
 AnonymityNotion PromisedNotion(AnonymizationMethod method) {
@@ -200,7 +171,8 @@ Result<AnonymizationResult> Anonymize(const Dataset& dataset,
   // Install the run's telemetry sinks for this thread: engines and the
   // parallel sweep issuer pick them up via CurrentTracer()/CurrentMetrics().
   const ScopedTelemetry telemetry(config.tracer, config.metrics);
-  PhaseSpan pipeline_span(config.tracer, PipelineSpanName(config.method));
+  PhaseSpan pipeline_span(config.tracer,
+                          NameOf(kMethodNames, config.method).span);
   EngineCounters counters;
   // Attribute weights only reweight the cost substrate
   // (PrecomputedLoss::WithAttributeWeights); every pipeline then runs

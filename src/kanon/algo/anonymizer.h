@@ -36,7 +36,34 @@ enum class AnonymizationMethod {
   kFullDomain,
 };
 
+/// Every spelling of every method, in enum order: the flag name (kanon_cli
+/// --method, kanond "method", .repro files), the display name and the
+/// root-span literal.
+inline constexpr NameRow<AnonymizationMethod> kMethodNames[] = {
+    {AnonymizationMethod::kAgglomerative, "agglomerative", "agglomerative",
+     "pipeline/agglomerative"},
+    {AnonymizationMethod::kModifiedAgglomerative, "modified",
+     "modified-agglomerative", "pipeline/modified-agglomerative"},
+    {AnonymizationMethod::kForest, "forest", "forest", "pipeline/forest"},
+    {AnonymizationMethod::kKKNearestNeighbors, "kk-nn",
+     "kk-nearest-neighbors", "pipeline/kk-nearest-neighbors"},
+    {AnonymizationMethod::kKKGreedyExpansion, "kk-greedy",
+     "kk-greedy-expansion", "pipeline/kk-greedy-expansion"},
+    {AnonymizationMethod::kGlobal, "global", "global-1k",
+     "pipeline/global-1k"},
+    {AnonymizationMethod::kFullDomain, "full-domain", "full-domain",
+     "pipeline/full-domain"},
+};
+static_assert(InEnumOrder(kMethodNames));
+
+/// All seven methods, in enum order.
+inline constexpr auto kAllMethods = ValuesOf(kMethodNames);
+
+/// Display name, e.g. kk-greedy-expansion.
 const char* AnonymizationMethodName(AnonymizationMethod method);
+/// Flag name, e.g. kk-greedy.
+const char* MethodFlagName(AnonymizationMethod method);
+Result<AnonymizationMethod> ParseMethodName(const std::string& flag);
 
 /// The anonymity notion a method promises: the contract its output is
 /// verified against (by kanon_cli after every run and by the kanon_check

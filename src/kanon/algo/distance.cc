@@ -8,19 +8,15 @@
 namespace kanon {
 
 std::string DistanceFunctionName(DistanceFunction f) {
-  switch (f) {
-    case DistanceFunction::kWeighted:
-      return "dist1(8)";
-    case DistanceFunction::kPlain:
-      return "dist2(9)";
-    case DistanceFunction::kLogWeighted:
-      return "dist3(10)";
-    case DistanceFunction::kRatio:
-      return "dist4(11)";
-    case DistanceFunction::kNergizClifton:
-      return "distNC";
-  }
-  return "unknown";
+  return NameOf(kDistanceNames, f).display;
+}
+
+const char* DistanceFlagName(DistanceFunction f) {
+  return NameOf(kDistanceNames, f).flag;
+}
+
+Result<DistanceFunction> ParseDistanceName(const std::string& flag) {
+  return ParseFlagName(kDistanceNames, flag, "distance");
 }
 
 double EvalDistance(DistanceFunction f, const DistanceParams& params,

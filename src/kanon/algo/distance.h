@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <string>
 
+#include "kanon/common/name_table.h"
+
 namespace kanon {
 
 /// The cluster distance functions of Section V-A.2. All are defined in
@@ -22,14 +24,26 @@ enum class DistanceFunction {
   kNergizClifton,
 };
 
-/// All distance functions, in a stable order (for sweeps and benches).
-inline constexpr DistanceFunction kAllDistanceFunctions[] = {
-    DistanceFunction::kWeighted, DistanceFunction::kPlain,
-    DistanceFunction::kLogWeighted, DistanceFunction::kRatio,
-    DistanceFunction::kNergizClifton};
+/// Every spelling of every distance function, in enum order: the flag
+/// name (kanon_cli --distance, kanond "distance", .repro files) and the
+/// display name.
+inline constexpr NameRow<DistanceFunction> kDistanceNames[] = {
+    {DistanceFunction::kWeighted, "1", "dist1(8)"},
+    {DistanceFunction::kPlain, "2", "dist2(9)"},
+    {DistanceFunction::kLogWeighted, "3", "dist3(10)"},
+    {DistanceFunction::kRatio, "4", "dist4(11)"},
+    {DistanceFunction::kNergizClifton, "nc", "distNC"},
+};
+static_assert(InEnumOrder(kDistanceNames));
 
-/// Short name, e.g. "dist1(8)".
+/// All distance functions, in a stable order (for sweeps and benches).
+inline constexpr auto kAllDistanceFunctions = ValuesOf(kDistanceNames);
+
+/// Display name, e.g. dist1(8).
 std::string DistanceFunctionName(DistanceFunction f);
+/// Flag name: 1 to 4, or nc.
+const char* DistanceFlagName(DistanceFunction f);
+Result<DistanceFunction> ParseDistanceName(const std::string& flag);
 
 /// Parameters shared by the distance functions.
 struct DistanceParams {

@@ -10,19 +10,11 @@
 namespace kanon {
 
 const char* AnonymityNotionName(AnonymityNotion notion) {
-  switch (notion) {
-    case AnonymityNotion::kKAnonymity:
-      return "k-anonymity";
-    case AnonymityNotion::kOneK:
-      return "(1,k)-anonymity";
-    case AnonymityNotion::kKOne:
-      return "(k,1)-anonymity";
-    case AnonymityNotion::kKK:
-      return "(k,k)-anonymity";
-    case AnonymityNotion::kGlobalOneK:
-      return "global (1,k)-anonymity";
-  }
-  return "unknown";
+  return NameOf(kNotionNames, notion).display;
+}
+
+Result<AnonymityNotion> ParseNotionName(const std::string& flag) {
+  return ParseFlagName(kNotionNames, flag, "notion");
 }
 
 namespace {

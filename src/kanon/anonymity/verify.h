@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "kanon/common/name_table.h"
 #include "kanon/common/result.h"
 #include "kanon/data/dataset.h"
 #include "kanon/generalization/generalized_table.h"
@@ -20,7 +21,20 @@ enum class AnonymityNotion {
   kGlobalOneK,      // Global (1,k): Definition 4.6.
 };
 
+/// Every spelling of every notion, in enum order: the flag name (kanond
+/// "notion") and the display name.
+inline constexpr NameRow<AnonymityNotion> kNotionNames[] = {
+    {AnonymityNotion::kKAnonymity, "k-anonymity", "k-anonymity"},
+    {AnonymityNotion::kOneK, "1k", "(1,k)-anonymity"},
+    {AnonymityNotion::kKOne, "k1", "(k,1)-anonymity"},
+    {AnonymityNotion::kKK, "kk", "(k,k)-anonymity"},
+    {AnonymityNotion::kGlobalOneK, "global-1k", "global (1,k)-anonymity"},
+};
+static_assert(InEnumOrder(kNotionNames));
+
+/// Display name, e.g. (k,k)-anonymity.
 const char* AnonymityNotionName(AnonymityNotion notion);
+Result<AnonymityNotion> ParseNotionName(const std::string& flag);
 
 /// The verifiers take untrusted (dataset, table, k) triples — e.g. files a
 /// user asks `kanon_cli --verify` about — so argument problems (k = 0,

@@ -76,7 +76,7 @@ PipelineOutcome RunPipeline(const TrialData& data, AnonymizationMethod method,
 std::string ErrorKind(const char* what, const Status& status,
                       AnonymizationMethod method) {
   return std::string(what) + ":" + StatusCodeName(status.code()) + ":" +
-         MethodShortName(method);
+         MethodFlagName(method);
 }
 
 // The trial's deterministic substream for one property-specific purpose.
@@ -144,7 +144,7 @@ PropertyResult PipelineVerifies(const TrialData& data) {
     }
     const GeneralizedTable& table = outcome.result->table;
     if (table.num_rows() != data.num_rows()) {
-      return Fail(std::string("shape-mismatch:") + MethodShortName(method),
+      return Fail(std::string("shape-mismatch:") + MethodFlagName(method),
                   "published " + std::to_string(table.num_rows()) +
                       " records for " + std::to_string(data.num_rows()) +
                       " originals");
@@ -156,7 +156,7 @@ PropertyResult PipelineVerifies(const TrialData& data) {
                   witness.status().ToString());
     }
     if (!witness->satisfied) {
-      return Fail(std::string("notion-violated:") + MethodShortName(method),
+      return Fail(std::string("notion-violated:") + MethodFlagName(method),
                   witness->ToString(data.config.k));
     }
   }
@@ -178,7 +178,7 @@ PropertyResult ImplicationLattice(const TrialData& data) {
     const GeneralizedTable& table = outcome.result->table;
     for (size_t i = 0; i < data.num_rows(); ++i) {
       if (!table.ConsistentPair(data.dataset, i, i)) {
-        return Fail(std::string("row-consistency:") + MethodShortName(method),
+        return Fail(std::string("row-consistency:") + MethodFlagName(method),
                     "row " + std::to_string(i) +
                         " is not consistent with its own generalization");
       }
@@ -189,7 +189,7 @@ PropertyResult ImplicationLattice(const TrialData& data) {
       return Fail(ErrorKind("verify-error", report.status(), method),
                   report.status().ToString());
     }
-    const std::string suffix = std::string(":") + MethodShortName(method);
+    const std::string suffix = std::string(":") + MethodFlagName(method);
     if (report->kk != (report->one_k && report->k_one)) {
       return Fail("lattice:kk-conjunction" + suffix,
                   "(k,k) must equal (1,k) AND (k,1)");
@@ -321,8 +321,8 @@ PropertyResult BruteForceBound(const TrialData& data) {
                   outcome.error.ToString());
     }
     if (outcome.result->loss + kLossSlack < optimum) {
-      return Fail(std::string("bruteforce:beaten:") + MethodShortName(method),
-                  MethodShortName(method) + std::string(" loss ") +
+      return Fail(std::string("bruteforce:beaten:") + MethodFlagName(method),
+                  MethodFlagName(method) + std::string(" loss ") +
                       FormatDouble(outcome.result->loss, 12) +
                       " undercuts the exhaustive optimum " +
                       FormatDouble(optimum, 12));
@@ -400,7 +400,7 @@ PropertyResult SuppressionAccounting(const TrialData& data) {
                 run.status().ToString());
   }
   const AnonymizationResult& result = run.value();
-  const std::string suffix = std::string(":") + MethodShortName(method);
+  const std::string suffix = std::string(":") + MethodFlagName(method);
   if (result.degraded != (result.stop_reason != StopReason::kNone)) {
     return Fail("accounting:degraded-flag" + suffix,
                 "degraded flag disagrees with stop reason " +
@@ -454,7 +454,7 @@ PropertyResult ThreadsDeterministic(const TrialData& data) {
     for (int threads : {2, 4}) {
       PipelineOutcome other = RunPipeline(data, method, threads, nullptr);
       const std::string suffix =
-          std::string(":") + MethodShortName(method) + ":threads-" +
+          std::string(":") + MethodFlagName(method) + ":threads-" +
           std::to_string(threads);
       if (other.ran != reference.ran) {
         return Fail("threads-diverged-outcome" + suffix,
@@ -491,7 +491,7 @@ PropertyResult SeedDeterministic(const TrialData& data) {
     return Fail(ErrorKind("pipeline-error", again.error, method),
                 again.error.ToString());
   }
-  const std::string suffix = std::string(":") + MethodShortName(method);
+  const std::string suffix = std::string(":") + MethodFlagName(method);
   if (!(again.result->table == first->table)) {
     return Fail("rerun-diverged-table" + suffix,
                 "repeated run published a different table");
@@ -676,7 +676,7 @@ PropertyResult ShardedComposition(const TrialData& data) {
   const std::optional<AnonymizationMethod> method =
       FirstComposableMethod(data);
   if (!method.has_value()) return Pass();
-  const std::string suffix = std::string(":") + MethodShortName(*method);
+  const std::string suffix = std::string(":") + MethodFlagName(*method);
   Rng rng = PropertyRng(data, "shards");
   const size_t num_shards = 2 + static_cast<size_t>(rng.NextBounded(4));
   ShardedOutcome outcome =
@@ -724,7 +724,7 @@ PropertyResult ShardAccountingInvariant(const TrialData& data) {
   const std::optional<AnonymizationMethod> method =
       FirstComposableMethod(data);
   if (!method.has_value()) return Pass();
-  const std::string suffix = std::string(":") + MethodShortName(*method);
+  const std::string suffix = std::string(":") + MethodFlagName(*method);
   const GeneralizedRecord star = data.scheme->Suppressed();
   for (const size_t num_shards : {size_t{1}, size_t{2}, size_t{4}}) {
     ShardedOutcome outcome =

@@ -5,6 +5,7 @@
 
 #include "kanon/common/failpoint.h"
 #include "kanon/common/text.h"
+#include "kanon/loss/measure.h"
 
 namespace kanon {
 namespace check {
@@ -81,10 +82,10 @@ std::string FormatRepro(const ReproCase& repro) {
   out += "trial " + std::to_string(repro.data.config.trial_index) + "\n";
   out += "k " + std::to_string(repro.data.config.k) + "\n";
   out += "measure " + repro.data.config.measure + "\n";
-  out += std::string("distance ") + DistanceName(repro.data.config.distance) +
-         "\n";
+  out += std::string("distance ") +
+         DistanceFlagName(repro.data.config.distance) + "\n";
   for (AnonymizationMethod method : repro.data.config.methods) {
-    out += std::string("method ") + MethodShortName(method) + "\n";
+    out += std::string("method ") + MethodFlagName(method) + "\n";
   }
   for (const auto& [name, after] : repro.failpoints) {
     out += "failpoint " + name + " " + std::to_string(after) + "\n";
@@ -172,13 +173,18 @@ Result<ReproCase> ParseRepro(const std::string& text) {
       if (k == 0) return MalformedLine(line_number, "k must be >= 1");
       repro.data.config.k = static_cast<size_t>(k);
     } else if (keyword == "measure" && tokens.size() == 2) {
+      const Result<std::unique_ptr<LossMeasure>> measure =
+          MakeMeasure(tokens[1]);
+      if (!measure.ok()) {
+        return MalformedLine(line_number, measure.status().message());
+      }
       repro.data.config.measure = tokens[1];
     } else if (keyword == "distance" && tokens.size() == 2) {
       KANON_ASSIGN_OR_RETURN(repro.data.config.distance,
                              ParseDistanceName(tokens[1]));
     } else if (keyword == "method" && tokens.size() == 2) {
       KANON_ASSIGN_OR_RETURN(const AnonymizationMethod method,
-                             ParseMethodShortName(tokens[1]));
+                             ParseMethodName(tokens[1]));
       repro.data.config.methods.push_back(method);
     } else if (keyword == "failpoint" &&
                (tokens.size() == 2 || tokens.size() == 3)) {
@@ -263,7 +269,7 @@ Result<ReproCase> ParseRepro(const std::string& text) {
   repro.data.dataset = std::move(dataset);
 
   if (repro.data.config.methods.empty()) {
-    repro.data.config.methods = AllMethods();
+    repro.data.config.methods.assign(kAllMethods.begin(), kAllMethods.end());
   }
   return repro;
 }

@@ -10,7 +10,6 @@
 #include "kanon/common/result.h"
 #include "kanon/data/dataset.h"
 #include "kanon/generalization/scheme.h"
-#include "kanon/loss/measure.h"
 
 namespace kanon {
 namespace check {
@@ -25,7 +24,7 @@ struct TrialConfig {
   uint64_t seed = 0;
   size_t trial_index = 0;
   size_t k = 2;
-  /// Loss measure name: EM, LM, or SUP.
+  /// Loss measure name (MakeMeasure); trials draw EM, LM or SUP.
   std::string measure = "EM";
   DistanceFunction distance = DistanceFunction::kRatio;
   /// The pipelines this trial exercises. Properties iterate these; the
@@ -42,22 +41,6 @@ struct TrialData {
   size_t num_rows() const { return dataset.num_rows(); }
   size_t num_attributes() const { return dataset.num_attributes(); }
 };
-
-/// All seven pipelines, in the canonical (enum) order.
-const std::vector<AnonymizationMethod>& AllMethods();
-
-/// CLI-style short method names ("agglomerative", "modified", "forest",
-/// "kk-nn", "kk-greedy", "global", "full-domain") — the vocabulary of
-/// --props filters and .repro files.
-const char* MethodShortName(AnonymizationMethod method);
-Result<AnonymizationMethod> ParseMethodShortName(const std::string& name);
-
-/// Distance-function names ("1".."4", "nc"), as in kanon_cli --distance.
-const char* DistanceName(DistanceFunction distance);
-Result<DistanceFunction> ParseDistanceName(const std::string& name);
-
-/// Loss measure by name: EM, LM, or SUP.
-Result<std::unique_ptr<LossMeasure>> MakeMeasure(const std::string& name);
 
 /// Materializes trial `trial_index` of a campaign: generator substream
 /// Rng(campaign_seed).Fork(trial_index), so trials are order-independent

@@ -2,9 +2,11 @@
 #define KANON_LOSS_MEASURE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "kanon/common/result.h"
 #include "kanon/generalization/hierarchy.h"
 
 namespace kanon {
@@ -29,6 +31,14 @@ class LossMeasure {
                          const std::vector<uint32_t>& counts,
                          SetId set) const = 0;
 };
+
+/// One instance of every built-in measure: EM, LM, TM and SUP. Each
+/// measure's name() is its only spelling: the kanon_cli --measure value,
+/// the kanond "measure" param and the .repro token.
+std::vector<std::unique_ptr<LossMeasure>> AllMeasures();
+
+/// The built-in measure whose name() is `name`.
+Result<std::unique_ptr<LossMeasure>> MakeMeasure(const std::string& name);
 
 }  // namespace kanon
 

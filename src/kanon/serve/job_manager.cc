@@ -124,9 +124,9 @@ Result<uint64_t> JobManager::Submit(JobRequest request, SubmitDenied* denied) {
         options_.logger, options_.flight, LogLevel::kInfo, "job.admitted",
         LogField::U64("job_id", id),
         LogField::U64("rows", admitted.request.dataset.num_rows()),
-        LogField::U64("k", admitted.request.k),
+        LogField::U64("k", admitted.request.config.k),
         LogField::Str("method",
-                      AnonymizationMethodName(admitted.request.method)),
+                      AnonymizationMethodName(admitted.request.config.method)),
         LogField::U64("queue_depth", queue_.size()),
         LogField::Bool("capture_trace", admitted.request.capture_trace));
   }
@@ -175,7 +175,8 @@ std::shared_ptr<const PrecomputedLoss> JobManager::LossFor(
   // differently even when semantically equal, which only costs a rebuild.
   const GeneralizationScheme* scheme_ptr = request.scheme.get();
   uint64_t key = Fnv1a(&scheme_ptr, sizeof(scheme_ptr));
-  key = Fnv1a(request.measure_name.data(), request.measure_name.size(), key);
+  const std::string measure_name = request.measure->name();
+  key = Fnv1a(measure_name.data(), measure_name.size(), key);
   key ^= DatasetFingerprint(request.dataset);
   {
     std::lock_guard<std::mutex> lock(loss_mu_);
@@ -187,12 +188,8 @@ std::shared_ptr<const PrecomputedLoss> JobManager::LossFor(
     }
   }
   if (loss_cache_misses_ != nullptr) loss_cache_misses_->Add();
-  Result<std::unique_ptr<LossMeasure>> measure =
-      MakeMeasure(request.measure_name);
-  if (!measure.ok()) return nullptr;
   auto loss = std::make_shared<const PrecomputedLoss>(
-      request.scheme, request.dataset, *measure.value(),
-      options_.job_threads);
+      request.scheme, request.dataset, *request.measure, options_.job_threads);
   std::lock_guard<std::mutex> lock(loss_mu_);
   if (loss_cache_.size() >= options_.loss_cache_capacity &&
       !loss_cache_.empty()) {
@@ -270,11 +267,7 @@ void JobManager::RunJob(Job* job) {
     }
   }
 
-  AnonymizerConfig config;
-  config.k = job->request.k;
-  config.method = job->request.method;
-  config.distance = job->request.distance;
-  config.attr_weights = job->request.attr_weights;
+  AnonymizerConfig config = job->request.config;
   config.num_threads = options_.job_threads;
   config.run_context = &ctx;
   config.metrics = metrics_;  // Service-wide engine.*/run.* aggregates.
@@ -283,10 +276,7 @@ void JobManager::RunJob(Job* job) {
   const std::shared_ptr<const PrecomputedLoss> loss =
       LossFor(job->request);
   Result<AnonymizationResult> result =
-      loss == nullptr
-          ? Result<AnonymizationResult>(Status::InvalidArgument(
-                "unknown measure '" + job->request.measure_name + "'"))
-          : Anonymize(job->request.dataset, *loss, config);
+      Anonymize(job->request.dataset, *loss, config);
 
   // From here on the run is finished, so reading the tracer is safe; the
   // trace is rendered and cached for every terminal state — the trace of

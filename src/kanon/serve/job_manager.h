@@ -31,11 +31,11 @@ namespace serve {
 struct JobRequest {
   Dataset dataset;
   std::shared_ptr<const GeneralizationScheme> scheme;
-  std::string measure_name = "EM";
-  size_t k = 5;
-  AnonymizationMethod method = AnonymizationMethod::kAgglomerative;
-  DistanceFunction distance = DistanceFunction::kRatio;
-  std::vector<double> attr_weights;
+  /// The run as submitted (k, method, distance, attr_weights). The worker
+  /// adds the thread count, the RunContext and the telemetry sinks.
+  AnonymizerConfig config;
+  /// Parsed at submit, so a queued job always has a valid measure.
+  std::unique_ptr<const LossMeasure> measure;
   /// Per-request execution bounds, intersected with whatever budget is
   /// left on the server's root RunContext.
   int64_t timeout_ms = 0;

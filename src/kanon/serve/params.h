@@ -19,14 +19,13 @@
 namespace kanon {
 namespace serve {
 
-/// Wire-name parsing shared by the request handlers and the client CLI.
-/// The names match kanon_cli's flags exactly (docs/serving.md), so a job
-/// submitted over the wire and a CLI run with the same arguments produce
-/// byte-identical tables — the e2e harness's core assertion.
-Result<AnonymizationMethod> ParseMethodName(const std::string& name);
-Result<DistanceFunction> ParseDistanceName(const std::string& name);
-Result<AnonymityNotion> ParseNotionName(const std::string& name);
-Result<std::unique_ptr<LossMeasure>> MakeMeasure(const std::string& name);
+/// The wire names are the library's name tables (kMethodNames,
+/// kDistanceNames, kNotionNames, MakeMeasure), the same ones kanon_cli
+/// reads, so a job submitted over the wire and a CLI run with the same
+/// arguments produce byte-identical tables. These two stay reachable under
+/// serve:: for existing callers.
+using ::kanon::MakeMeasure;
+using ::kanon::ParseDistanceName;
 
 /// FNV-1a 64-bit over a byte range, chainable via `seed`.
 uint64_t Fnv1a(const void* data, size_t len,

@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -36,6 +37,32 @@ ErrorCode CodeForStatus(const Status& status) {
     default:
       return ErrorCode::kInternal;
   }
+}
+
+/// The invalid_params message for the first key in `expected` that is
+/// present with the wrong type; "" when all are absent or well typed. A
+/// kNumber must also be an integer: every numeric run parameter is a
+/// count or a duration, so 2.5 is as wrong as "2".
+std::string MistypedParam(
+    const Json& params,
+    std::initializer_list<std::pair<const char*, Json::Type>> expected) {
+  for (const auto& [key, type] : expected) {
+    const Json* value = params.Find(key);
+    if (value == nullptr) continue;
+    const bool integral =
+        value->is_number() &&
+        value->number_value() == std::floor(value->number_value()) &&
+        std::fabs(value->number_value()) <= 9007199254740992.0;  // 2^53
+    if (value->type() == type && (type != Json::Type::kNumber || integral)) {
+      continue;
+    }
+    const char* expected_type = type == Json::Type::kNumber   ? "an integer"
+                                : type == Json::Type::kString ? "a string"
+                                : type == Json::Type::kBool   ? "a boolean"
+                                                              : "an array";
+    return std::string("params.") + key + " must be " + expected_type;
+  }
+  return "";
 }
 
 /// Fetches a required positive integer param; a kNone error code on success.
@@ -362,6 +389,22 @@ std::string Server::HandleSubmit(const Request& request, uint64_t request_id) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          "params.csv (string) is required");
   }
+  using Type = Json::Type;
+  if (const std::string error = MistypedParam(
+          params, {{"spec", Type::kString},
+                   {"k", Type::kNumber},
+                   {"method", Type::kString},
+                   {"distance", Type::kString},
+                   {"measure", Type::kString},
+                   {"attr_weights", Type::kArray},
+                   {"timeout_ms", Type::kNumber},
+                   {"max_steps", Type::kNumber},
+                   {"debug_sleep_ms", Type::kNumber},
+                   {"publish_as", Type::kString},
+                   {"capture_trace", Type::kBool}});
+      !error.empty()) {
+    return ErrorResponse(request.id, ErrorCode::kInvalidParams, error);
+  }
   Result<ParsedTable> parsed = ParseCsvAndSpec(
       csv->string_value(), params.GetString("spec", ""), &schemes_);
   if (!parsed.ok()) {
@@ -376,36 +419,37 @@ std::string Server::HandleSubmit(const Request& request, uint64_t request_id) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          "params.k must be a positive integer");
   }
-  job.k = static_cast<size_t>(k);
+  job.config.k = static_cast<size_t>(k);
   Result<AnonymizationMethod> method =
       ParseMethodName(params.GetString("method", "agglomerative"));
   if (!method.ok()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          method.status().message());
   }
-  job.method = *method;
+  job.config.method = *method;
   Result<DistanceFunction> distance =
       ParseDistanceName(params.GetString("distance", "4"));
   if (!distance.ok()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                          distance.status().message());
   }
-  job.distance = *distance;
-  job.measure_name = params.GetString("measure", "EM");
-  // Validated here so a bad measure is a typed request error, not a job
-  // that fails later.
-  if (!MakeMeasure(job.measure_name).ok()) {
+  job.config.distance = *distance;
+  // Parsed here so a bad measure is a typed request error, not a job that
+  // fails later.
+  Result<std::unique_ptr<LossMeasure>> measure =
+      MakeMeasure(params.GetString("measure", "EM"));
+  if (!measure.ok()) {
     return ErrorResponse(request.id, ErrorCode::kInvalidParams,
-                         "unknown measure '" + job.measure_name + "'");
+                         measure.status().message());
   }
-  if (const Json* weights = params.Find("attr_weights");
-      weights != nullptr && weights->is_array()) {
+  job.measure = std::move(measure).value();
+  if (const Json* weights = params.Find("attr_weights"); weights != nullptr) {
     for (const Json& w : weights->array_items()) {
       if (!w.is_number()) {
         return ErrorResponse(request.id, ErrorCode::kInvalidParams,
                              "params.attr_weights must be numbers");
       }
-      job.attr_weights.push_back(w.number_value());
+      job.config.attr_weights.push_back(w.number_value());
     }
   }
   job.timeout_ms = params.GetInt("timeout_ms", 0);
@@ -531,6 +575,13 @@ std::string Server::HandleRegisterTable(const Request& request) {
 
 std::string Server::HandleVerify(const Request& request) {
   const Json& params = request.params;
+  if (const std::string error = MistypedParam(
+          params, {{"table", Json::Type::kString},
+                   {"k", Json::Type::kNumber},
+                   {"notion", Json::Type::kString}});
+      !error.empty()) {
+    return ErrorResponse(request.id, ErrorCode::kInvalidParams, error);
+  }
   const std::string name = params.GetString("table", "");
   const std::shared_ptr<const PublishedTable> published = tables_.Find(name);
   if (published == nullptr) {
@@ -572,6 +623,12 @@ std::string Server::HandleVerify(const Request& request) {
 
 std::string Server::HandleAttack(const Request& request) {
   const Json& params = request.params;
+  if (const std::string error = MistypedParam(
+          params,
+          {{"table", Json::Type::kString}, {"k", Json::Type::kNumber}});
+      !error.empty()) {
+    return ErrorResponse(request.id, ErrorCode::kInvalidParams, error);
+  }
   const std::string name = params.GetString("table", "");
   const std::shared_ptr<const PublishedTable> published = tables_.Find(name);
   if (published == nullptr) {

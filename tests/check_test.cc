@@ -79,16 +79,6 @@ TEST(TrialTest, MakeTrialDependsOnlyOnSeedAndIndex) {
   EXPECT_TRUE(SameDataset(direct->dataset, again->dataset));
 }
 
-TEST(TrialTest, MethodShortNamesRoundTrip) {
-  for (AnonymizationMethod method : AllMethods()) {
-    Result<AnonymizationMethod> parsed =
-        ParseMethodShortName(MethodShortName(method));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, method);
-  }
-  EXPECT_FALSE(ParseMethodShortName("bogus").ok());
-}
-
 TEST(PropertyTest, CatalogNamesAreUniqueAndFindable) {
   std::set<std::string> names;
   for (const Property& property : PropertyCatalog()) {
@@ -144,6 +134,23 @@ TEST(ReproTest, ParserRejectsMalformedInput) {
                           "row 0\n"
                           "end\n")
                    .ok());
+}
+
+TEST(ReproTest, ParserRejectsAnUnknownMeasureAtItsLine) {
+  const auto with_measure = [](const std::string& measure) {
+    return "kanon-repro v1\n"
+           "property pipeline-verifies\n"
+           "expect pass\n"
+           "measure " + measure + "\n"
+           "attr a0 0 1\n"
+           "row 0\n"
+           "end\n";
+  };
+  EXPECT_TRUE(ParseRepro(with_measure("SUP")).ok());
+  const Result<ReproCase> parsed = ParseRepro(with_measure("bogus"));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(),
+            "repro line 4: unknown measure 'bogus'");
 }
 
 // End-to-end acceptance of the fault-injection loop: an armed failpoint

@@ -25,16 +25,6 @@ using testing::SmallRandomDataset;
 using testing::SmallScheme;
 using testing::Unwrap;
 
-constexpr AnonymizationMethod kAllMethods[] = {
-    AnonymizationMethod::kAgglomerative,
-    AnonymizationMethod::kModifiedAgglomerative,
-    AnonymizationMethod::kForest,
-    AnonymizationMethod::kKKNearestNeighbors,
-    AnonymizationMethod::kKKGreedyExpansion,
-    AnonymizationMethod::kGlobal,
-    AnonymizationMethod::kFullDomain,
-};
-
 TEST(DeterminismTest, EveryPipelineMatchesSingleThreadedByteForByte) {
   const auto scheme = SmallScheme();
   const Dataset d = SmallRandomDataset(*scheme, 150, 20250807);

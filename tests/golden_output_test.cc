@@ -40,16 +40,6 @@ using testing::SmallRandomDataset;
 using testing::SmallScheme;
 using testing::Unwrap;
 
-constexpr AnonymizationMethod kAllMethods[] = {
-    AnonymizationMethod::kAgglomerative,
-    AnonymizationMethod::kModifiedAgglomerative,
-    AnonymizationMethod::kForest,
-    AnonymizationMethod::kKKNearestNeighbors,
-    AnonymizationMethod::kKKGreedyExpansion,
-    AnonymizationMethod::kGlobal,
-    AnonymizationMethod::kFullDomain,
-};
-
 struct GoldenCase {
   std::string name;  // Dataset tag used in the golden file name.
   std::shared_ptr<const GeneralizationScheme> scheme;

@@ -27,16 +27,6 @@ using testing::SmallRandomDataset;
 using testing::SmallScheme;
 using testing::Unwrap;
 
-constexpr AnonymizationMethod kAllMethods[] = {
-    AnonymizationMethod::kAgglomerative,
-    AnonymizationMethod::kModifiedAgglomerative,
-    AnonymizationMethod::kForest,
-    AnonymizationMethod::kKKNearestNeighbors,
-    AnonymizationMethod::kKKGreedyExpansion,
-    AnonymizationMethod::kGlobal,
-    AnonymizationMethod::kFullDomain,
-};
-
 TEST(AttrWeightedPolicyTest, UniformWeightsAreByteIdenticalOnEveryPipeline) {
   auto scheme = SmallScheme();
   const Dataset dataset = SmallRandomDataset(*scheme, 60, /*seed=*/41);

@@ -155,6 +155,33 @@ TEST(ServeProtocolTest, MethodLevelParamErrorsAreTyped) {
   params.Set("k", Json::Number(int64_t{2}));
   Json ghost = testing::Unwrap(client.CallRaw("verify", std::move(params)));
   EXPECT_EQ(ghost.Find("error")->GetString("code", ""), "not_found");
+  // A run parameter present with the wrong type, or a fractional k, is
+  // rejected instead of falling back to its default. The type check comes
+  // before the table lookup, so the ghost table is never reached.
+  const std::string csv = Json::Str(SyntheticCsv(8)).Dump();
+  const std::pair<const char*, std::string> mistyped[] = {
+      {"submit", "{\"csv\":" + csv + ",\"k\":\"10\"}"},
+      {"submit", "{\"csv\":" + csv + ",\"k\":2.5}"},
+      {"submit", "{\"csv\":" + csv + ",\"method\":3}"},
+      {"submit", "{\"csv\":" + csv + ",\"distance\":4}"},
+      {"submit", "{\"csv\":" + csv + ",\"measure\":null}"},
+      {"submit", "{\"csv\":" + csv + ",\"attr_weights\":2}"},
+      {"submit", "{\"csv\":" + csv + ",\"capture_trace\":1}"},
+      {"verify", "{\"table\":\"ghost\",\"k\":2,\"notion\":5}"},
+      {"verify", "{\"table\":\"ghost\",\"k\":\"2\"}"},
+      {"verify", "{\"table\":7,\"k\":2}"},
+      {"attack", "{\"table\":\"ghost\",\"k\":1.5}"},
+      {"attack", "{\"table\":\"ghost\",\"k\":[2]}"},
+  };
+  for (const auto& [method, text] : mistyped) {
+    Json reply = testing::Unwrap(
+        client.CallRaw(method, testing::Unwrap(Json::Parse(text))));
+    const Json* error = reply.Find("error");
+    ASSERT_NE(error, nullptr) << method << " " << text << " -> "
+                              << reply.Dump();
+    EXPECT_EQ(error->GetString("code", ""), "invalid_params")
+        << method << " " << text << " -> " << reply.Dump();
+  }
 
   EXPECT_EQ(server.SignalAndWait(SIGTERM), 0) << server.Log();
 }
