@@ -26,6 +26,8 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "kanon/algo/core/closure_store.h"
+#include "kanon/algo/core/cluster_set.h"
 #include "kanon/algo/distance.h"
 #include "kanon/algo/policy.h"
 #include "kanon/common/check.h"
@@ -382,6 +384,76 @@ KernelTiming BenchDistanceDispatch(const std::vector<double>& single_costs,
   return t;
 }
 
+// --- Kernel 6: the agglomerative rescan/repair sweep, one anchor cluster
+// against every active cluster. Legacy: one UnionCost per pair over
+// ClosureStore-interned closures — the cluster -> closure id -> stored
+// record chase the engine paid per pair before the flat slots. Columnar:
+// one AnchorCostRow per anchor, then UnionCostFromRow over flat
+// ClusterSlots. The clusters are disjoint runs of 1..8 rows, shaped like
+// the active list a few hundred merges into a run.
+KernelTiming BenchClusterUnionSweep(const Dataset& dataset,
+                                    const PrecomputedLoss& loss,
+                                    const LossKernels& kernels, int reps) {
+  const GeneralizationScheme& scheme = loss.scheme();
+  const size_t n = dataset.num_rows();
+  ClosureStore store(loss);
+  ClusterSlots slots(scheme.num_attributes());
+  std::vector<ClosureStore::Id> closures;
+  uint64_t state = 0x2545f4914f6cdd1dull;
+  for (size_t begin = 0; begin < n;) {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    const size_t end = std::min(n, begin + 1 + state % 8);
+    std::vector<uint32_t> rows;
+    for (size_t row = begin; row < end; ++row) {
+      rows.push_back(static_cast<uint32_t>(row));
+    }
+    const ClosureStore::Id id = store.InternClosureOfRows(dataset, rows);
+    slots.Write(static_cast<uint32_t>(closures.size()), store.record(id),
+                rows.size(), store.cost(id));
+    closures.push_back(id);
+    begin = end;
+  }
+  const uint32_t m = static_cast<uint32_t>(closures.size());
+  std::vector<double> row(kernels.cost_row_size());
+
+  for (uint32_t u = 0; u < m; u += 7) {
+    kernels.AnchorCostRow(slots.sets(u), row.data());
+    for (uint32_t v = 0; v < m; ++v) {
+      KANON_CHECK(kernels.UnionCostFromRow(row.data(), slots.sets(v)) ==
+                      kernels.UnionCost(store.record(closures[u]),
+                                        store.record(closures[v])),
+                  "cluster union sweep diverged from the per-pair UnionCost");
+    }
+  }
+
+  KernelTiming t;
+  t.name = "cluster_union_sweep";
+  t.items = static_cast<size_t>(m) * m;
+  t.legacy_ns = TimeNs(reps, [&] {
+    double sink = 0.0;
+    for (uint32_t u = 0; u < m; ++u) {
+      for (uint32_t v = 0; v < m; ++v) {
+        sink += kernels.UnionCost(store.record(closures[u]),
+                                  store.record(closures[v]));
+      }
+    }
+    g_sink += sink;
+  });
+  t.columnar_ns = TimeNs(reps, [&] {
+    double sink = 0.0;
+    for (uint32_t u = 0; u < m; ++u) {
+      kernels.AnchorCostRow(slots.sets(u), row.data());
+      for (uint32_t v = 0; v < m; ++v) {
+        sink += kernels.UnionCostFromRow(row.data(), slots.sets(v));
+      }
+    }
+    g_sink += sink;
+  });
+  return t;
+}
+
 void WriteJson(const std::string& path, size_t n, size_t r,
                const std::vector<KernelTiming>& timings) {
   std::ofstream out(path);
@@ -452,6 +524,7 @@ int Main(int argc, char** argv) {
     single_costs[i] = loss.RecordCost(singles[i]);
   }
   timings.push_back(BenchDistanceDispatch(single_costs, reps));
+  timings.push_back(BenchClusterUnionSweep(w.dataset, loss, kernels, reps));
 
   std::printf("micro_bench: ART n=%zu r=%zu, 1 thread, best of %d reps\n", n,
               scheme.num_attributes(), reps);

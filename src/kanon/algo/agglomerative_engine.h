@@ -37,10 +37,11 @@ inline constexpr size_t kAgglomerativeCheapSweepSerialBelow = 2048;
 
 // The basic and modified variants of Algorithm 1, rewritten on the shared
 // clustering core: ClusterSet owns the alive/dead bookkeeping, ClosureStore
-// hash-conses every cluster closure (and memoizes its cost), and MergeHeap
-// carries the two-best candidates with the stale-entry heap maintenance.
-// `Policy` supplies the distance and the (a)symmetry of the merge rule;
-// both inline into the sweeps.
+// hash-conses every cluster closure (and memoizes its cost), ClusterSlots
+// mirrors each active cluster's closure, size and cost into one flat slot
+// for the sweeps, and MergeHeap carries the two-best candidates with one
+// heap entry per cluster. `Policy` supplies the distance and the
+// (a)symmetry of the merge rule; both inline into the sweeps.
 template <typename Policy>
 class AgglomerativeEngine {
   KANON_ASSERT_CLUSTER_POLICY(Policy);
@@ -65,7 +66,8 @@ class AgglomerativeEngine {
                                              0.6, 0.7, 0.8, 0.9, 1.0})),
         kernels_(dataset, loss),
         store_(loss),
-        heap_(&clusters_, options.aggressive_heap_rebuild, options.counters) {}
+        slots_(dataset.num_attributes()),
+        anchor_row_(kernels_.cost_row_size()) {}
 
   Result<Clustering> Run() {
     {
@@ -81,9 +83,6 @@ class AgglomerativeEngine {
       FinalizeDegraded();
     } else {
       DistributeLeftover();
-    }
-    if (options_.heap_rebuilds_out != nullptr) {
-      *options_.heap_rebuilds_out = heap_.rebuilds();
     }
     store_.ExportCounters(options_.counters);
     Clustering out;
@@ -109,18 +108,24 @@ class AgglomerativeEngine {
 
   // d(A ∪ B) computed attribute-wise through the raw join tables and the
   // flat cost rows; O(r), same additions in the same order as the checked
-  // accessor loop it replaced.
+  // accessor loop it replaced. The sweeps use AnchorUnionCost instead.
   double UnionCost(const ClusterData& a, const ClusterData& b) const {
     return kernels_.UnionCost(store_.record(a.closure),
                               store_.record(b.closure));
   }
 
+  // dist(a, b) of two active clusters given d(a ∪ b), read from their
+  // flat slots.
   double DistFromUnionCost(uint32_t a, uint32_t b, double d_union) const {
-    const ClusterData& ca = clusters_.cluster(a);
-    const ClusterData& cb = clusters_.cluster(b);
-    return policy_.Distance(ca.members.size(), cb.members.size(),
-                            ca.members.size() + cb.members.size(), ca.cost,
-                            cb.cost, d_union);
+    const size_t size_a = slots_.size(a);
+    const size_t size_b = slots_.size(b);
+    return policy_.Distance(size_a, size_b, size_a + size_b, slots_.cost(a),
+                            slots_.cost(b), d_union);
+  }
+
+  // d(anchor ∪ b) for the anchor whose cost row anchor_row_ holds.
+  double AnchorUnionCost(uint32_t b) const {
+    return kernels_.UnionCostFromRow(anchor_row_.data(), slots_.sets(b));
   }
 
   double Dist(uint32_t a, uint32_t b) const {
@@ -134,20 +139,29 @@ class AgglomerativeEngine {
     c->cost = store_.cost(c->closure);
   }
 
+  // Mirrors an active cluster into its flat slot.
+  void WriteSlot(uint32_t id) {
+    const ClusterData& c = clusters_.cluster(id);
+    slots_.Write(id, store_.record(c.closure), c.members.size(), c.cost);
+  }
+
   // Exact two-best of x over every active cluster, O(active · r), spread
   // over the worker threads: chunk-local two-bests merged in chunk order
-  // reproduce the serial ascending scan exactly.
-  CandidatePair ComputeTwoBest(uint32_t x) const {
+  // reproduce the serial ascending scan exactly. The active list holds no
+  // dead clusters here (RepairAndMaybeAdd compacts it first).
+  CandidatePair ComputeTwoBest(uint32_t x) {
     const size_t m = clusters_.active().size();
     std::vector<CandidatePair> parts(ParallelChunkCount(m));
+    kernels_.AnchorCostRow(slots_.sets(x), anchor_row_.data());
     ParallelChunks(
         m, options_.num_threads, nullptr, "agglomerative/rescan",
         [&](size_t chunk, size_t begin, size_t end) {
           CandidatePair local;
           for (size_t t = begin; t < end; ++t) {
             const uint32_t y = clusters_.active()[t];
-            if (y == x || !clusters_.Alive(y)) continue;
-            OfferToTwoBest(&local, y, Dist(x, y));
+            if (y == x) continue;
+            OfferToTwoBest(&local, y,
+                           DistFromUnionCost(x, y, AnchorUnionCost(y)));
           }
           parts[chunk] = local;
         },
@@ -210,6 +224,7 @@ class AgglomerativeEngine {
       intern_span.set_items(n);
       for (uint32_t i = 0; i < n; ++i) {
         SetClosure(&clusters_.cluster(i), raw[i]);
+        WriteSlot(i);
       }
     }
     raw.clear();
@@ -240,12 +255,13 @@ class AgglomerativeEngine {
               }
             }
             kernels_.PairCostSweep(static_cast<uint32_t>(i), pair.data());
-            const double cost_i = clusters_.cluster(i).cost;
+            const double cost_i = slots_.cost(static_cast<uint32_t>(i));
             CandidatePair c;
             for (size_t y = 0; y < n; ++y) {
               if (y == i) continue;
               const double d = policy_.Distance(
-                  1, 1, 2, cost_i, clusters_.cluster(y).cost, pair[y]);
+                  1, 1, 2, cost_i, slots_.cost(static_cast<uint32_t>(y)),
+                  pair[y]);
               OfferToTwoBest(&c, static_cast<uint32_t>(y), d);
             }
             c.second_valid = true;
@@ -298,27 +314,30 @@ class AgglomerativeEngine {
   // O(active·r) distance computations run on the worker threads; the
   // order-sensitive Offer/Repair bookkeeping replays them serially in
   // active order, so the outcome matches the single-threaded pass exactly.
+  // The pass first drops the merged pair from the active list, so neither
+  // it nor the rescans visit a dead cluster.
   void RepairAndMaybeAdd(uint32_t added) {
     PhaseSpan span(tracer_, "agglomerative/repair");
     // The policy decides at compile time whether the merge rule is
     // direction-sensitive; symmetric policies never price the reverse pair.
     constexpr bool asymmetric = Policy::kAsymmetric;
+    clusters_.CompactActive();
     const std::vector<uint32_t>& active = clusters_.active();
     const size_t m = active.size();
     std::vector<double> d_added_x;
     std::vector<double> d_x_added;
     if (added != kNoCluster) {
-      d_added_x.assign(m, kInfDist);
-      d_x_added.assign(m, kInfDist);
+      WriteSlot(added);
+      kernels_.AnchorCostRow(slots_.sets(added), anchor_row_.data());
+      d_added_x.resize(m);
+      d_x_added.resize(m);
       CountChunks(m);
       ParallelChunks(
           m, options_.num_threads, nullptr, "agglomerative/repair",
           [&](size_t /*chunk*/, size_t begin, size_t end) {
             for (size_t t = begin; t < end; ++t) {
               const uint32_t x = active[t];
-              if (!clusters_.Alive(x)) continue;
-              const double d_union = UnionCost(clusters_.cluster(added),
-                                               clusters_.cluster(x));
+              const double d_union = AnchorUnionCost(x);
               d_added_x[t] = DistFromUnionCost(added, x, d_union);
               d_x_added[t] = asymmetric
                                  ? DistFromUnionCost(x, added, d_union)
@@ -330,7 +349,6 @@ class AgglomerativeEngine {
     std::vector<uint32_t> needs_rescan;
     for (size_t t = 0; t < m; ++t) {
       const uint32_t x = active[t];
-      if (!clusters_.Alive(x)) continue;
       if (added != kNoCluster) {
         heap_.Offer(added, x, d_added_x[t]);
       }
@@ -344,9 +362,8 @@ class AgglomerativeEngine {
     if (added != kNoCluster) {
       clusters_.Activate(added);
     }
-    clusters_.MaybeCompactActive();
     for (uint32_t x : needs_rescan) {
-      if (clusters_.Alive(x)) FullRescan(x);
+      FullRescan(x);
     }
   }
 
@@ -397,13 +414,9 @@ class AgglomerativeEngine {
     while (clusters_.num_active() > 1) {
       if (CheckPoint("agglomerative/merge")) return Status::OK();
       KANON_FAILPOINT("agglomerative.closure");
-      heap_.MaybeRebuild();
-      KANON_CHECK(!heap_.empty(), "active clusters must have heap entries");
+      // Invariant A makes the popped pair a globally closest one.
       const MergeCandidate entry = heap_.PopTop();
-      // Distances are immutable per pair, so an entry is valid iff both
-      // endpoints are alive; invariant A guarantees the first valid pop is
-      // a globally closest pair.
-      if (!clusters_.Alive(entry.a) || !clusters_.Alive(entry.b)) continue;
+      KANON_DCHECK(clusters_.Alive(entry.a) && clusters_.Alive(entry.b));
       if (options_.check_exact_merges) {
         VerifyGlobalMinimum(entry.dist);
       }
@@ -512,6 +525,10 @@ class AgglomerativeEngine {
   LossKernels kernels_;
   ClosureStore store_;
   ClusterSet clusters_;
+  ClusterSlots slots_;
+  // The cost row of the current sweep's anchor cluster; written on the
+  // coordinating thread before each sweep, read by its workers.
+  std::vector<double> anchor_row_;
   MergeHeap heap_;
   std::vector<uint32_t> final_;
   std::vector<double> shrink_costs_;  // ShrinkToK scratch, reused per pass.

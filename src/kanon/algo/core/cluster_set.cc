@@ -4,14 +4,9 @@
 
 namespace kanon {
 
-void ClusterSet::MaybeCompactActive() {
-  if (num_dead_in_active_ * 2 < active_.size()) return;
-  std::vector<uint32_t> compacted;
-  compacted.reserve(num_active_);
-  for (uint32_t id : active_) {
-    if (clusters_[id].alive) compacted.push_back(id);
-  }
-  active_ = std::move(compacted);
+void ClusterSet::CompactActive() {
+  if (num_dead_in_active_ == 0) return;
+  std::erase_if(active_, [&](uint32_t id) { return !clusters_[id].alive; });
   num_dead_in_active_ = 0;
 }
 

@@ -21,7 +21,9 @@ LossKernels::LossKernels(const Dataset& dataset, const PrecomputedLoss& loss)
         h.join_table(),
         loss.attr_costs(j),
         h.num_sets(),
+        row_size_,
     };
+    row_size_ += h.num_sets();
   }
 }
 
@@ -94,6 +96,18 @@ double LossKernels::UnionCost(const GeneralizedRecord& a,
     total += t.costs[t.join[static_cast<size_t>(a[j]) * t.num_sets + b[j]]];
   }
   return total / r_as_double_;
+}
+
+void LossKernels::AnchorCostRow(const SetId* anchor, double* row) const {
+  for (size_t j = 0; j < attrs_.size(); ++j) {
+    const AttrTables& t = attrs_[j];
+    const SetId* join_row =
+        t.join + static_cast<size_t>(anchor[j]) * t.num_sets;
+    double* out = row + t.row_offset;
+    for (size_t s = 0; s < t.num_sets; ++s) {
+      out[s] = t.costs[join_row[s]];
+    }
+  }
 }
 
 }  // namespace kanon

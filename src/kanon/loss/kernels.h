@@ -54,6 +54,26 @@ class LossKernels {
   double UnionCost(const GeneralizedRecord& a,
                    const GeneralizedRecord& b) const;
 
+  /// Doubles in an anchor cost row: the set count summed over attributes.
+  size_t cost_row_size() const { return row_size_; }
+
+  /// row[off_j + s] = c_j(join(anchor[j], s)) for every attribute j and set
+  /// s of it, where off_j is the set count of the attributes before j. A
+  /// sweep that prices one anchor closure against many builds this once;
+  /// each union cost is then r loads from the row.
+  void AnchorCostRow(const SetId* anchor, double* row) const;
+
+  /// d(anchor ∪ sets) read from the anchor's cost row. The same terms are
+  /// added in the same order and divided by r last, exactly as
+  /// UnionCost(anchor, sets), so the result is bit-identical.
+  double UnionCostFromRow(const double* row, const SetId* sets) const {
+    double total = 0.0;
+    for (size_t j = 0; j < attrs_.size(); ++j) {
+      total += row[attrs_[j].row_offset + sets[j]];
+    }
+    return total / r_as_double_;
+  }
+
  private:
   struct AttrTables {
     const ValueCode* col;   // Packed dataset column, n entries.
@@ -61,9 +81,11 @@ class LossKernels {
     const SetId* join;      // num_sets x num_sets, row-major.
     const double* costs;    // SetId -> per-entry cost.
     size_t num_sets;
+    size_t row_offset;      // Start of this attribute in an anchor row.
   };
 
   std::vector<AttrTables> attrs_;
+  size_t row_size_ = 0;
   size_t n_;
   double r_as_double_;  // Divisor; division order matches the scalar loops.
 };

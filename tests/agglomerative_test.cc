@@ -230,44 +230,5 @@ TEST(LeaveOneOutClosuresTest, MatchesNaiveRecomputation) {
   }
 }
 
-TEST(AgglomerativeHeapTest, RebuildKeepsOutputIdentical) {
-  // The stale-entry rebuild is pure occupancy maintenance: with the
-  // aggressive test hook the heap rebuilds at every opportunity, and the
-  // clustering must not move at all.
-  auto scheme = SmallScheme();
-  for (uint64_t seed : {31u, 32u}) {
-    Dataset d = SmallRandomDataset(*scheme, 120, seed);
-    PrecomputedLoss loss(scheme, d, EntropyMeasure());
-    AgglomerativeOptions options;
-    const Clustering reference =
-        Unwrap(AgglomerativeCluster(d, loss, 5, options));
-    size_t rebuilds = 0;
-    options.aggressive_heap_rebuild = true;
-    options.heap_rebuilds_out = &rebuilds;
-    const Clustering rebuilt = Unwrap(AgglomerativeCluster(d, loss, 5, options));
-    EXPECT_EQ(rebuilt.clusters, reference.clusters) << "seed " << seed;
-    // The hook forces a rebuild whenever any stale reference exists; a run
-    // of 120 merges certainly produces some.
-    EXPECT_GT(rebuilds, 0u) << "seed " << seed;
-  }
-}
-
-TEST(AgglomerativeHeapTest, ModifiedVariantUnchangedByAggressiveRebuilds) {
-  auto scheme = SmallScheme();
-  Dataset d = SmallRandomDataset(*scheme, 100, 33);
-  PrecomputedLoss loss(scheme, d, EntropyMeasure());
-  AgglomerativeOptions options;
-  options.modified = true;
-  const Clustering reference =
-      Unwrap(AgglomerativeCluster(d, loss, 4, options));
-  size_t rebuilds = 0;
-  options.aggressive_heap_rebuild = true;
-  options.heap_rebuilds_out = &rebuilds;
-  const Clustering rebuilt =
-      Unwrap(AgglomerativeCluster(d, loss, 4, options));
-  EXPECT_EQ(rebuilt.clusters, reference.clusters);
-  EXPECT_GT(rebuilds, 0u);
-}
-
 }  // namespace
 }  // namespace kanon
