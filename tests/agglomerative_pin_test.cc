@@ -4,12 +4,11 @@
 // takes the pooled sweep path (kAgglomerativeCheapSweepSerialBelow). Here
 // both agglomerative variants run on a 200-row ART table under all five
 // distances at 1 and 4 threads, and the basic variant runs on a 2100-row
-// table at 4 threads, large enough that the early repair sweeps and
-// rescans fan out over the pool. (One 2100-row run takes about 7 s in a
-// Debug+ASan build, so the large table runs once.) Each run must reproduce
-// the committed FNV-1a-64 digest of its generalized CSV and the committed
-// `merges`/`rescans` counters; the digests are the same at every thread
-// count.
+// table at 1 and 4 threads: at 4 the early repair sweeps and rescans fan
+// out over the pool, at 1 every sweep runs on the calling thread. Each run
+// must reproduce the committed FNV-1a-64 digest of its generalized CSV and
+// the committed `merges`/`rescans`/`parallel_chunks` counters; digests and
+// counters are the same at every thread count.
 //
 // Regenerating (only legitimate when an intentional output change lands):
 //   KANON_REGEN_PIN=1 ./agglomerative_pin_test
@@ -62,7 +61,7 @@ std::vector<PinTable> Tables() {
       {"art2100", 2100, 4, 10,
        {AnonymizationMethod::kAgglomerative},
        {DistanceFunction::kRatio},
-       {4}},
+       {1, 4}},
   };
 }
 
@@ -79,7 +78,8 @@ uint64_t Fnv1a64(const std::string& bytes) {
   return h;
 }
 
-// One line of the digest file: "<case> <fnv hex> <merges> <rescans>".
+// One line of the digest file:
+// "<case> <fnv hex> <merges> <rescans> <parallel_chunks>".
 std::string PinLine(const AnonymizationResult& result) {
   std::ostringstream csv;
   EXPECT_TRUE(WriteGeneralizedCsv(result.table, csv).ok());
@@ -87,7 +87,8 @@ std::string PinLine(const AnonymizationResult& result) {
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(Fnv1a64(csv.str())));
   return std::string(hex) + " " + std::to_string(result.counters.merges) +
-         " " + std::to_string(result.counters.rescans);
+         " " + std::to_string(result.counters.rescans) + " " +
+         std::to_string(result.counters.parallel_chunks);
 }
 
 std::map<std::string, std::string> ReadPins() {
