@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "kanon/algo/agglomerative_engine.h"
 #include "kanon/algo/core/closure_store.h"
 #include "kanon/algo/core/cluster_set.h"
 #include "kanon/algo/distance.h"
@@ -454,6 +455,70 @@ KernelTiming BenchClusterUnionSweep(const Dataset& dataset,
   return t;
 }
 
+// --- Kernel 7: the agglomerative engine's singleton init under dist4 (the
+// kanon_cli default), every singleton's two-best over all others. Legacy:
+// one PairCostSweep per row over all n rows, then the ascending two-best
+// select — every unordered pair priced twice. Columnar: the triangle of
+// internal::SingletonTwoBests on one thread — each pair priced once from
+// its smaller row's anchor cost row and offered in both directions.
+KernelTiming BenchSingletonInit(const Dataset& dataset,
+                                const PrecomputedLoss& loss,
+                                const LossKernels& kernels, int reps) {
+  const size_t n = dataset.num_rows();
+  ClusterSlots slots(dataset.num_attributes());
+  for (uint32_t i = 0; i < n; ++i) {
+    const GeneralizedRecord closure =
+        loss.scheme().Identity(dataset.row_view(i));
+    slots.Write(i, closure, 1, loss.RecordCost(closure));
+  }
+  const RatioPolicy policy;
+  std::vector<double> pair(n);
+  std::vector<CandidatePair> legacy(n);
+  const auto per_row = [&] {
+    for (uint32_t i = 0; i < n; ++i) {
+      kernels.PairCostSweep(i, pair.data());
+      CandidatePair c;
+      for (uint32_t y = 0; y < n; ++y) {
+        if (y == i) continue;
+        OfferToTwoBest(&c, y,
+                       policy.Distance(1, 1, 2, slots.cost(i), slots.cost(y),
+                                       pair[y]));
+      }
+      legacy[i] = c;
+    }
+  };
+  std::vector<CandidatePair> triangle;
+  const auto triangle_init = [&] {
+    KANON_CHECK(internal::SingletonTwoBests(kernels, slots, n, policy, 1,
+                                            nullptr, &triangle)
+                    .ok(),
+                "singleton init failed");
+  };
+
+  // Bitwise equivalence first: every singleton's two-best.
+  per_row();
+  triangle_init();
+  for (size_t i = 0; i < n; ++i) {
+    const CandidatePair& a = legacy[i];
+    const CandidatePair& b = triangle[i];
+    KANON_CHECK(a.c1 == b.c1 && a.d1 == b.d1 && a.c2 == b.c2 && a.d2 == b.d2,
+                "triangle init diverged from the per-row scan");
+  }
+
+  KernelTiming t;
+  t.name = "singleton_init";
+  t.items = n * n;
+  t.legacy_ns = TimeNs(reps, [&] {
+    per_row();
+    g_sink += legacy.back().d1;
+  });
+  t.columnar_ns = TimeNs(reps, [&] {
+    triangle_init();
+    g_sink += triangle.back().d1;
+  });
+  return t;
+}
+
 void WriteJson(const std::string& path, size_t n, size_t r,
                const std::vector<KernelTiming>& timings) {
   std::ofstream out(path);
@@ -525,6 +590,7 @@ int Main(int argc, char** argv) {
   }
   timings.push_back(BenchDistanceDispatch(single_costs, reps));
   timings.push_back(BenchClusterUnionSweep(w.dataset, loss, kernels, reps));
+  timings.push_back(BenchSingletonInit(w.dataset, loss, kernels, reps));
 
   std::printf("micro_bench: ART n=%zu r=%zu, 1 thread, best of %d reps\n", n,
               scheme.num_attributes(), reps);

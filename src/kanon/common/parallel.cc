@@ -189,6 +189,20 @@ std::pair<size_t, size_t> ParallelChunkRange(size_t n, size_t chunk) {
   return {begin, begin + base + (chunk < extra ? 1 : 0)};
 }
 
+bool SweepRunsInline(size_t n, int num_threads, size_t serial_below) {
+  return ResolveNumThreads(num_threads) <= 1 || ParallelChunkCount(n) <= 1 ||
+         t_in_sweep || n < serial_below;
+}
+
+SweepSpan::SweepSpan(size_t n, const char* stage)
+    : tracer_(t_in_sweep || n == 0 ? nullptr : CurrentTracer()),
+      span_(tracer_, stage, "sweep") {
+  if (tracer_ != nullptr) {
+    span_.set_items(ParallelChunkCount(n));
+    tracer_->AdvanceSteps(ParallelChunkCount(n));
+  }
+}
+
 SweepStatus ParallelChunks(
     size_t n, int num_threads, RunContext* ctx, const char* stage,
     const std::function<void(size_t, size_t, size_t)>& body,
@@ -201,23 +215,16 @@ SweepStatus ParallelChunks(
   job->n = n;
   job->num_chunks = num_chunks;
   job->ctx = ctx;
-  // Sweep span + step accounting. Only top-level sweeps are traced (nested
-  // sweeps run inline inside an already-traced chunk); lane 0 records
-  // exactly one "sweep" span per sweep and the step clock advances by the
-  // chunk count — both pure functions of n, never of the thread count.
-  Tracer* const tracer = t_in_sweep ? nullptr : CurrentTracer();
-  PhaseSpan sweep_span(tracer, stage, "sweep");
-  if (tracer != nullptr) {
-    sweep_span.set_items(num_chunks);
-    tracer->AdvanceSteps(num_chunks);
-    job->tracer = tracer;
-    job->stage = stage;
-  }
-  const size_t threads = std::min<size_t>(
-      static_cast<size_t>(ResolveNumThreads(num_threads)), num_chunks);
-  if (threads <= 1 || t_in_sweep || n < serial_below) {
+  // Only top-level sweeps are traced (nested sweeps run inline inside an
+  // already-traced chunk).
+  const SweepSpan sweep_span(n, stage);
+  job->tracer = sweep_span.tracer();
+  job->stage = stage;
+  if (SweepRunsInline(n, num_threads, serial_below)) {
     DrainChunks(*job);
   } else {
+    const size_t threads = std::min<size_t>(
+        static_cast<size_t>(ResolveNumThreads(num_threads)), num_chunks);
     ThreadPool::Instance().Run(job, threads - 1);
   }
   const int stop = job->stop.load(std::memory_order_relaxed);

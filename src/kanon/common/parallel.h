@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "kanon/common/run_context.h"
+#include "kanon/telemetry/tracer.h"
 
 namespace kanon {
 
@@ -27,6 +28,34 @@ size_t ParallelChunkCount(size_t n);
 /// Half-open item range [begin, end) of chunk `chunk` (< ParallelChunkCount).
 /// Chunk ranges partition [0, n) in order: chunk c ends where c+1 begins.
 std::pair<size_t, size_t> ParallelChunkRange(size_t n, size_t chunk);
+
+/// True when ParallelChunks(n, num_threads, ..., serial_below) runs every
+/// chunk on the calling thread: it resolves to at most one thread (or n has
+/// at most one chunk), it is nested inside another sweep's chunk, or
+/// n < serial_below. ParallelChunks decides its path by this predicate; a
+/// caller that sees it hold may instead run the sweep's work as one direct
+/// loop under a SweepSpan, with the same result and the same lane-0 trace.
+bool SweepRunsInline(size_t n, int num_threads, size_t serial_below = 0);
+
+/// The lane-0 trace record of one sweep over n items: a "sweep" span named
+/// `stage` carrying ParallelChunkCount(n) items, and a step-clock advance by
+/// that count — both pure in n, never in the thread count. ParallelChunks
+/// holds one per sweep; a direct loop run under SweepRunsInline() holds one
+/// for the loop's duration. Nested and empty sweeps record nothing.
+class SweepSpan {
+ public:
+  SweepSpan(size_t n, const char* stage);
+
+  SweepSpan(const SweepSpan&) = delete;
+  SweepSpan& operator=(const SweepSpan&) = delete;
+
+  /// The tracer recording this sweep; null when it records nothing.
+  Tracer* tracer() const { return tracer_; }
+
+ private:
+  Tracer* const tracer_;
+  PhaseSpan span_;
+};
 
 /// Outcome of one parallel sweep.
 struct SweepStatus {

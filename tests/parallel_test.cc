@@ -4,12 +4,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "kanon/common/run_context.h"
+#include "kanon/telemetry/tracer.h"
 
 namespace kanon {
 namespace {
@@ -169,6 +177,103 @@ TEST(ParallelForTest, NestedSweepsRunInlineWithoutDeadlock) {
                 [&](size_t) { inner_total.fetch_add(1); });
   });
   EXPECT_EQ(inner_total.load(), 128);
+}
+
+// Everything lane 0 records except wall clock, plus the final step clock.
+std::string LaneZeroFingerprint(const Tracer& tracer) {
+  std::ostringstream out;
+  for (const SpanEvent& event : tracer.lane_events(0)) {
+    out << event.name << '|' << event.category << '|' << event.depth << '|'
+        << event.steps_begin << '|' << event.steps_end << '|' << event.items
+        << '\n';
+  }
+  out << "steps " << tracer.steps();
+  return out.str();
+}
+
+// The lane-0 trace of one sweep over n items, run either through
+// ParallelChunks or, where SweepRunsInline holds, as one direct loop under
+// a SweepSpan (the agglomerative engine's rescan and repair sweeps).
+std::string SweepTrace(size_t n, int threads, size_t serial_below,
+                       bool direct) {
+  Tracer tracer;
+  std::vector<int> hits(n, 0);
+  {
+    ScopedTelemetry telemetry(&tracer, nullptr);
+    PhaseSpan outer(&tracer, "outer");
+    if (direct && SweepRunsInline(n, threads, serial_below)) {
+      const SweepSpan sweep(n, "test/sweep");
+      for (size_t i = 0; i < n; ++i) ++hits[i];
+    } else {
+      ParallelChunks(
+          n, threads, nullptr, "test/sweep",
+          [&](size_t /*chunk*/, size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i) ++hits[i];
+          },
+          serial_below);
+    }
+  }
+  for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i], 1) << "item " << i;
+  return LaneZeroFingerprint(tracer);
+}
+
+// The distinct threads that ran chunks of a ParallelChunks sweep. When
+// `await_second` is set, each chunk waits (up to a generous timeout) until
+// a second thread has entered one: a pooled sweep always gets there, since
+// its workers claim the chunks the blocked caller cannot, and an inline
+// one never does.
+size_t ChunkThreads(size_t n, int threads, size_t serial_below,
+                    bool await_second) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> ids;
+  ParallelChunks(
+      n, threads, nullptr, "test/path",
+      [&](size_t, size_t, size_t) {
+        std::unique_lock<std::mutex> lock(mu);
+        ids.insert(std::this_thread::get_id());
+        cv.notify_all();
+        if (await_second) {
+          cv.wait_for(lock, std::chrono::seconds(30),
+                      [&] { return ids.size() >= 2; });
+        }
+      },
+      serial_below);
+  return ids.size();
+}
+
+TEST(SweepRunsInlineTest, DirectPassTracesLikeParallelChunks) {
+  constexpr size_t kSerialBelow = 2048;  // The agglomerative sweeps' bound.
+  for (size_t n : {1u, 255u, 256u, 2047u, 2048u, 5000u}) {
+    std::string baseline;
+    for (int threads : {1, 4}) {
+      const bool inline_path = SweepRunsInline(n, threads, kSerialBelow);
+      EXPECT_EQ(inline_path, threads == 1 || n == 1 || n < kSerialBelow)
+          << "n=" << n << " threads=" << threads;
+      // The predicate names the path ParallelChunks takes.
+      const size_t ran_on =
+          ChunkThreads(n, threads, kSerialBelow, !inline_path);
+      EXPECT_TRUE(inline_path ? ran_on == 1 : ran_on >= 2)
+          << "n=" << n << " threads=" << threads << " ran on " << ran_on;
+      const std::string chunks = SweepTrace(n, threads, kSerialBelow, false);
+      const std::string direct = SweepTrace(n, threads, kSerialBelow, true);
+      EXPECT_EQ(direct, chunks) << "n=" << n << " threads=" << threads;
+      if (threads == 1) {
+        baseline = chunks;
+      } else {
+        EXPECT_EQ(chunks, baseline) << "n=" << n << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST(SweepRunsInlineTest, NestedSweepsRunInline) {
+  ParallelFor(8, 4, nullptr, "outer", [](size_t) {
+    EXPECT_TRUE(SweepRunsInline(100000, 4));
+  });
+  EXPECT_FALSE(SweepRunsInline(100000, 4));
+  EXPECT_TRUE(SweepRunsInline(100000, 4, /*serial_below=*/200000));
+  EXPECT_TRUE(SweepRunsInline(0, 4));
 }
 
 double ArgminProbe(size_t i) {

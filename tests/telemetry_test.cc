@@ -519,6 +519,48 @@ TEST(TelemetryDeterminismTest, LaneZeroSpansAndMetricsIdenticalAcrossThreads) {
   }
 }
 
+// The agglomerative rescan and repair sweeps run as one direct loop when
+// they stay on the calling thread and on the pool otherwise; the cut is
+// 2048 active clusters. Here 2100 rows keep the early sweeps above it, so
+// at --threads 1 they run direct and at 2 and 4 on the pool, and the lane-0
+// spans and metrics must still agree. A step budget ends the run after a
+// few dozen merges (deterministically), which keeps it cheap.
+TEST(TelemetryDeterminismTest, AgglomerativePooledSweepsTraceLikeDirectOnes) {
+  const auto scheme = SmallScheme();
+  const Dataset d = SmallRandomDataset(*scheme, 2100, 20261019);
+  const PrecomputedLoss loss(scheme, d, EntropyMeasure());
+  std::string baseline_spans;
+  std::string baseline_metrics;
+  for (int threads : {1, 2, 4}) {
+    Tracer tracer;
+    MetricsRegistry metrics;
+    RunContext ctx;
+    ctx.set_step_budget(40);
+    AnonymizerConfig config;
+    config.k = 5;
+    config.method = AnonymizationMethod::kAgglomerative;
+    config.num_threads = threads;
+    config.tracer = &tracer;
+    config.metrics = &metrics;
+    config.run_context = &ctx;
+    Unwrap(Anonymize(d, loss, config));
+    ASSERT_EQ(ctx.stats().stop_reason, StopReason::kStepBudget);
+    const std::string spans = LaneZeroFingerprint(tracer);
+    ASSERT_NE(spans.find("agglomerative/repair|sweep"), std::string::npos);
+    const std::string fingerprint =
+        metrics.ToJson(/*include_nondeterministic=*/false);
+    if (threads == 1) {
+      baseline_spans = spans;
+      baseline_metrics = fingerprint;
+    } else {
+      EXPECT_EQ(spans, baseline_spans)
+          << "lane-0 spans diverged at --threads " << threads;
+      EXPECT_EQ(fingerprint, baseline_metrics)
+          << "metrics fingerprint diverged at --threads " << threads;
+    }
+  }
+}
+
 TEST(TelemetryDeterminismTest, WorkerLanesAppearUnderParallelRuns) {
   const auto scheme = SmallScheme();
   const Dataset d = SmallRandomDataset(*scheme, 200, 11);
