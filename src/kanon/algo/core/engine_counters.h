@@ -23,8 +23,10 @@ struct EngineCounters {
   size_t closure_misses = 0;
   /// Record-upgrade steps ((k,1) repair, Algorithm 6 global upgrades).
   size_t upgrade_steps = 0;
-  /// Chunk units of parallel work issued by the engine's sweeps. A pure
-  /// function of the sweep sizes, so identical at every --threads value.
+  /// Work units of the engine's sweeps: ParallelChunkCount(n) per sweep over
+  /// n items, however the sweep ran (pooled, inline, or as one direct loop).
+  /// A pure function of the sweep sizes, so identical at every --threads
+  /// value.
   size_t parallel_chunks = 0;
 
   /// Fraction of interns served from the closure cache (0 when unused).
