@@ -2,6 +2,7 @@
 #define KANON_ALGO_AGGLOMERATIVE_ENGINE_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -75,9 +76,9 @@ inline std::vector<size_t> SingletonInitBlockBegins(size_t n) {
 // task alone. A row's partials and own accumulator cover ascending partner
 // ranges, so merging them in block order is the serial ascending scan (the
 // chunk-merge identity of ComputeTwoBest). Each anchor row checks the
-// agglomerative.closure failpoint; a stop of `ctx` between tasks leaves
-// (*out) unspecified and returns completed = false. A stop waits for the
-// block tasks already running, each about n²/16 pair pricings.
+// agglomerative.closure failpoint and polls `ctx` for a stop; a stop leaves
+// (*out) unspecified and returns completed = false. It waits for the row
+// each running task is pricing, at most n - 1 pairs.
 template <typename Policy>
 Result<SweepStatus> SingletonTwoBests(const LossKernels& kernels,
                                       const ClusterSlots& slots, size_t n,
@@ -94,41 +95,55 @@ Result<SweepStatus> SingletonTwoBests(const LossKernels& kernels,
   std::vector<CandidatePair> later(later_base[blocks]);
   out->assign(n, CandidatePair());
   std::vector<Status> errors(blocks);
-  const SweepStatus sweep = ParallelChunks(
+  std::atomic<int> stop{0};  // The first StopReason a row poll saw, or 0.
+  const SweepStatus sweep = Sweep(
       blocks, num_threads, ctx, "agglomerative/init",
-      [&](size_t b, size_t /*begin*/, size_t /*end*/) {
-        const size_t end = block_begin[b + 1];
-        CandidatePair* const later_b = later.data() + later_base[b];
+      [&](size_t /*chunk*/, size_t first_block, size_t end_block) {
         std::vector<double> row(kernels.cost_row_size());
-        for (size_t i = block_begin[b]; i < end; ++i) {
-          if (failpoint::AnyArmed()) {
-            Status s = failpoint::Check("agglomerative.closure");
-            if (!s.ok()) {
-              errors[b] = std::move(s);
-              return;
+        for (size_t b = first_block; b < end_block; ++b) {
+          const size_t end = block_begin[b + 1];
+          CandidatePair* const later_b = later.data() + later_base[b];
+          for (size_t i = block_begin[b]; i < end; ++i) {
+            if (ctx != nullptr) {
+              const StopReason r = ctx->StopRequested();
+              if (r != StopReason::kNone) {
+                stop.store(static_cast<int>(r), std::memory_order_relaxed);
+                return;
+              }
             }
+            if (failpoint::AnyArmed()) {
+              Status s = failpoint::Check("agglomerative.closure");
+              if (!s.ok()) {
+                errors[b] = std::move(s);
+                return;
+              }
+            }
+            const uint32_t x = static_cast<uint32_t>(i);
+            kernels.AnchorCostRow(slots.sets(x), row.data());
+            const double cost_x = slots.cost(x);
+            CandidatePair own = (*out)[i];
+            const auto price = [&](size_t y, CandidatePair* partner) {
+              const uint32_t y32 = static_cast<uint32_t>(y);
+              const double cost_y = slots.cost(y32);
+              const double p =
+                  kernels.UnionCostFromRow(row.data(), slots.sets(y32));
+              OfferToTwoBest(&own, y32,
+                             policy.Distance(1, 1, 2, cost_x, cost_y, p));
+              OfferToTwoBest(partner, x,
+                             policy.Distance(1, 1, 2, cost_y, cost_x, p));
+            };
+            for (size_t y = i + 1; y < end; ++y) price(y, &(*out)[y]);
+            for (size_t y = end; y < n; ++y) price(y, &later_b[y - end]);
+            (*out)[i] = own;
           }
-          const uint32_t x = static_cast<uint32_t>(i);
-          kernels.AnchorCostRow(slots.sets(x), row.data());
-          const double cost_x = slots.cost(x);
-          CandidatePair own = (*out)[i];
-          const auto price = [&](size_t y, CandidatePair* partner) {
-            const uint32_t y32 = static_cast<uint32_t>(y);
-            const double cost_y = slots.cost(y32);
-            const double p =
-                kernels.UnionCostFromRow(row.data(), slots.sets(y32));
-            OfferToTwoBest(&own, y32,
-                           policy.Distance(1, 1, 2, cost_x, cost_y, p));
-            OfferToTwoBest(partner, x,
-                           policy.Distance(1, 1, 2, cost_y, cost_x, p));
-          };
-          for (size_t y = i + 1; y < end; ++y) price(y, &(*out)[y]);
-          for (size_t y = end; y < n; ++y) price(y, &later_b[y - end]);
-          (*out)[i] = own;
         }
       });
   for (Status& s : errors) {
     if (!s.ok()) return std::move(s);
+  }
+  if (const int r = stop.load(std::memory_order_relaxed); r != 0) {
+    ctx->NoteStop(static_cast<StopReason>(r));
+    return SweepStatus{false, sweep.slots};
   }
   if (!sweep.completed) return sweep;
   for (size_t row_block = 0; row_block < blocks; ++row_block) {
@@ -172,7 +187,6 @@ class AgglomerativeEngine {
         options_(options),
         policy_(policy),
         ctx_(options.run_context),
-        num_attrs_(dataset.num_attributes()),
         tracer_(CurrentTracer()),
         merge_cost_(CurrentMetrics() == nullptr
                         ? nullptr
@@ -260,36 +274,18 @@ class AgglomerativeEngine {
     slots_.Write(id, store_.record(c.closure), c.members.size(), c.cost);
   }
 
-  // Runs body(chunk, begin, end) over the m active clusters and returns how
-  // many chunks it ran; the chunks partition [0, m) in order. When the
-  // sweep would stay on this thread (SweepRunsInline) it is one direct call
-  // over [0, m) under a SweepSpan, which skips ParallelChunks' per-chunk
-  // dispatch and leaves the same lane-0 trace; otherwise it is
-  // ParallelChunks' ParallelChunkCount(m) chunks.
-  template <typename Body>
-  size_t ActiveSweep(size_t m, const char* stage, const Body& body) {
-    if (SweepRunsInline(m, options_.num_threads,
-                        kAgglomerativeCheapSweepSerialBelow)) {
-      const SweepSpan sweep(m, stage);
-      body(0, 0, m);
-      return 1;
-    }
-    ParallelChunks(m, options_.num_threads, nullptr, stage, body,
-                   kAgglomerativeCheapSweepSerialBelow);
-    return ParallelChunkCount(m);
-  }
-
   // Exact two-best of x over every active cluster, O(active · r):
   // chunk-local two-bests merged in chunk order reproduce the ascending
   // scan exactly. The active list holds x itself (so m >= 1) and no dead
-  // clusters (RepairAndMaybeAdd compacts it first).
+  // clusters (RepairAndMaybeAdd compacts it first). The rescan and repair
+  // sweeps are unpolled, so on one thread each is one call over [0, m).
   CandidatePair ComputeTwoBest(uint32_t x) {
     const std::vector<uint32_t>& active = clusters_.active();
     const size_t m = active.size();
     kernels_.AnchorCostRow(slots_.sets(x), anchor_row_.data());
     rescan_parts_.resize(ParallelChunkCount(m));
-    const size_t chunks = ActiveSweep(
-        m, "agglomerative/rescan",
+    const SweepStatus sweep = Sweep(
+        m, options_.num_threads, nullptr, "agglomerative/rescan",
         [&](size_t chunk, size_t begin, size_t end) {
           CandidatePair local;
           for (size_t t = begin; t < end; ++t) {
@@ -299,9 +295,10 @@ class AgglomerativeEngine {
                            DistFromUnionCost(x, y, AnchorUnionCost(y)));
           }
           rescan_parts_[chunk] = local;
-        });
+        },
+        kAgglomerativeCheapSweepSerialBelow);
     CandidatePair c;
-    for (size_t chunk = 0; chunk < chunks; ++chunk) {
+    for (size_t chunk = 0; chunk < sweep.slots; ++chunk) {
       const CandidatePair& p = rescan_parts_[chunk];
       OfferToTwoBest(&c, p.c1, p.d1);
       OfferToTwoBest(&c, p.c2, p.d2);
@@ -345,12 +342,14 @@ class AgglomerativeEngine {
     // pass prices each distinct closure exactly once.
     std::vector<GeneralizedRecord> raw(n);
     CountChunks(n);
-    const SweepStatus closures = ParallelFor(
+    const SweepStatus closures = Sweep(
         n, options_.num_threads, ctx_, "agglomerative/init",
-        [&](size_t i) {
-          raw[i] = scheme_.Identity(dataset_.row_view(i));
+        [&](size_t /*chunk*/, size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            raw[i] = scheme_.Identity(dataset_.row_view(i));
+          }
         },
-        /*done=*/nullptr, kAgglomerativeCheapSweepSerialBelow);
+        kAgglomerativeCheapSweepSerialBelow);
     // A stop here leaves the closures unset; the degraded wind-down pools
     // records by membership only, so that is safe.
     if (!closures.completed) return Status::OK();
@@ -418,8 +417,8 @@ class AgglomerativeEngine {
   // kNoCluster it is the freshly created cluster: its two-best is built, it
   // is offered to everyone, and it joins the active set. Clusters whose
   // candidates were wiped out are rescanned at the end (rare). The pure
-  // O(active·r) distances are precomputed by one ActiveSweep (on the
-  // worker threads when it fans out), then the order-sensitive Offer/Repair
+  // O(active·r) distances are precomputed by one sweep (on the worker
+  // threads when it fans out), then the order-sensitive Offer/Repair
   // bookkeeping replays them serially in active order, exactly as a serial
   // pass would. The pass first drops the merged pair from the active list,
   // so neither it nor the rescans visit a dead cluster.
@@ -442,17 +441,18 @@ class AgglomerativeEngine {
       CountChunks(m);
       d_added_x_.resize(m);
       d_x_added_.resize(m);
-      ActiveSweep(m, "agglomerative/repair",
-                  [&](size_t /*chunk*/, size_t begin, size_t end) {
-                    for (size_t t = begin; t < end; ++t) {
-                      const uint32_t x = active[t];
-                      const double d_union = AnchorUnionCost(x);
-                      d_added_x_[t] = DistFromUnionCost(added, x, d_union);
-                      d_x_added_[t] =
-                          asymmetric ? DistFromUnionCost(x, added, d_union)
-                                     : d_added_x_[t];
-                    }
-                  });
+      Sweep(
+          m, options_.num_threads, nullptr, "agglomerative/repair",
+          [&](size_t /*chunk*/, size_t begin, size_t end) {
+            for (size_t t = begin; t < end; ++t) {
+              const uint32_t x = active[t];
+              const double d_union = AnchorUnionCost(x);
+              d_added_x_[t] = DistFromUnionCost(added, x, d_union);
+              d_x_added_[t] = asymmetric ? DistFromUnionCost(x, added, d_union)
+                                         : d_added_x_[t];
+            }
+          },
+          kAgglomerativeCheapSweepSerialBelow);
       for (size_t t = 0; t < m; ++t) {
         const uint32_t x = active[t];
         heap_.Offer(added, x, d_added_x_[t]);
@@ -616,7 +616,6 @@ class AgglomerativeEngine {
   const AgglomerativeOptions& options_;
   const Policy policy_;
   RunContext* const ctx_;
-  const size_t num_attrs_;
   // Telemetry sinks of the enclosing run (null when telemetry is off);
   // resolved once at construction, on the run's coordinating thread.
   Tracer* const tracer_;

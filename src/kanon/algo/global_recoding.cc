@@ -154,26 +154,38 @@ Result<GlobalRecodingResult> GlobalRecodingKAnonymize(
     KANON_FAILPOINT("full_domain.step");
     // Raise the attribute whose bump loses the least information. Each
     // trial applies one candidate level vector to the whole table — the
-    // O(r·n·r) inner cost of the ascent — so the trials run as a parallel
-    // argmin; maxed-out attributes opt out with +infinity. Smallest index
-    // wins ties, exactly like the serial strict-< scan this replaces.
+    // O(r·n·r) inner cost of the ascent — so the trials run as one sweep;
+    // maxed-out attributes are skipped. Chunk-local minima folded in chunk
+    // order with strict < keep the smallest index on ties, exactly like the
+    // serial strict-< scan this replaces.
     if (counters != nullptr) {
       counters->parallel_chunks += ParallelChunkCount(r);
     }
-    const ArgminResult best = ParallelArgmin(
-        r, num_threads, nullptr, "full-domain/ascent", [&](size_t j) {
-          if (levels[j] + 1 >= tables[j].size()) {
-            return std::numeric_limits<double>::infinity();
+    struct Bump {  // One attribute's bump and the table loss after it.
+      size_t attribute = 0;
+      double loss = std::numeric_limits<double>::infinity();
+    };
+    std::vector<Bump> parts(ParallelChunkCount(r));
+    const SweepStatus sweep = Sweep(
+        r, num_threads, nullptr, "full-domain/ascent",
+        [&](size_t chunk, size_t begin, size_t end) {
+          Bump& best = parts[chunk];
+          for (size_t j = begin; j < end; ++j) {
+            if (levels[j] + 1 >= tables[j].size()) continue;
+            std::vector<uint32_t> trial = levels;
+            ++trial[j];
+            const double loss_j = loss.TableLoss(
+                ApplyLevels(dataset, loss.scheme_ptr(), tables, trial));
+            if (loss_j < best.loss) best = {j, loss_j};
           }
-          std::vector<uint32_t> trial = levels;
-          ++trial[j];
-          return loss.TableLoss(
-              ApplyLevels(dataset, loss.scheme_ptr(), tables, trial));
         });
-    KANON_CHECK(best.valid &&
-                    best.value < std::numeric_limits<double>::infinity(),
+    Bump best;
+    for (size_t chunk = 0; chunk < sweep.slots; ++chunk) {
+      if (parts[chunk].loss < best.loss) best = parts[chunk];
+    }
+    KANON_CHECK(best.loss < std::numeric_limits<double>::infinity(),
                 "all attributes fully suppressed must be k-anonymous");
-    ++levels[best.index];
+    ++levels[best.attribute];
     if (counters != nullptr) ++counters->upgrade_steps;
     current = ApplyLevels(dataset, loss.scheme_ptr(), tables, levels);
   }

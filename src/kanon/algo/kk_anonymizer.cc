@@ -139,7 +139,7 @@ Result<GeneralizedTable> K1NearestNeighbors(const Dataset& dataset,
   std::vector<GeneralizedRecord> rows(n);
   std::vector<uint8_t> done(n, 0);
   std::vector<Status> errors(ParallelChunkCount(n));
-  const SweepStatus sweep = ParallelChunks(
+  const SweepStatus sweep = Sweep(
       n, num_threads, ctx, "kk/k1-nn",
       [&](size_t chunk, size_t begin, size_t end) {
         std::vector<std::pair<double, uint32_t>> candidates;
@@ -204,7 +204,7 @@ Result<GeneralizedTable> K1GreedyExpansion(const Dataset& dataset,
   std::vector<GeneralizedRecord> rows(n);
   std::vector<uint8_t> done(n, 0);
   std::vector<Status> errors(ParallelChunkCount(n));
-  const SweepStatus sweep = ParallelChunks(
+  const SweepStatus sweep = Sweep(
       n, num_threads, ctx, "kk/k1-greedy",
       [&](size_t chunk, size_t begin, size_t end) {
         std::vector<bool> in_cluster(n, false);
@@ -323,7 +323,7 @@ Result<GeneralizedTable> Make1KAnonymous(const Dataset& dataset,
     if (counters != nullptr) {
       counters->parallel_chunks += ParallelChunkCount(n);
     }
-    ParallelChunks(
+    const SweepStatus sweep = Sweep(
         n, num_threads, nullptr, "kk/repair",
         [&](size_t chunk, size_t begin, size_t end) {
           ScanPart& part = parts[chunk];
@@ -350,7 +350,7 @@ Result<GeneralizedTable> Make1KAnonymous(const Dataset& dataset,
     // ℓ = #generalized records consistent with R_i.
     size_t consistent = 0;
     candidates.clear();
-    for (size_t chunk = 0; chunk < ParallelChunkCount(n); ++chunk) {
+    for (size_t chunk = 0; chunk < sweep.slots; ++chunk) {
       consistent += parts[chunk].consistent;
       candidates.insert(candidates.end(), parts[chunk].candidates.begin(),
                         parts[chunk].candidates.end());

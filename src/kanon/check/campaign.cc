@@ -79,56 +79,58 @@ Result<CampaignReport> RunCampaign(const CampaignOptions& options) {
   const std::vector<std::string> armed = failpoint::ArmedNames();
 
   std::vector<TrialOutcome> slots(options.trials);
-  ParallelFor(
-      options.trials, options.threads, /*ctx=*/nullptr, "check.campaign",
-      [&](size_t trial_index) {
-        TrialOutcome& slot = slots[trial_index];
-        Result<TrialData> trial =
-            MakeTrial(options.seed, trial_index, options.generator);
-        if (!trial.ok()) {
-          slot.generator_error = "trial " + std::to_string(trial_index) +
-                                 ": " + trial.status().ToString();
-          return;
+  const auto run_trial = [&](size_t trial_index) {
+    TrialOutcome& slot = slots[trial_index];
+    Result<TrialData> trial =
+        MakeTrial(options.seed, trial_index, options.generator);
+    if (!trial.ok()) {
+      slot.generator_error = "trial " + std::to_string(trial_index) +
+                             ": " + trial.status().ToString();
+      return;
+    }
+    for (const Property* property : properties) {
+      PropertyResult result = property->run(trial.value());
+      ++slot.evaluations;
+      if (result.passed) {
+        ++slot.passed;
+        continue;
+      }
+      TrialData minimized = trial.value();
+      PropertyResult final_result = result;
+      if (options.shrink) {
+        ShrinkOptions shrink_options;
+        shrink_options.max_evaluations = options.shrink_max_evaluations;
+        Result<ShrinkOutcome> shrunk =
+            Shrink(trial.value(), *property, result, shrink_options);
+        if (shrunk.ok()) {
+          minimized = std::move(shrunk.value().data);
+          final_result = std::move(shrunk.value().failure);
         }
-        for (const Property* property : properties) {
-          PropertyResult result = property->run(trial.value());
-          ++slot.evaluations;
-          if (result.passed) {
-            ++slot.passed;
-            continue;
-          }
-          TrialData minimized = trial.value();
-          PropertyResult final_result = result;
-          if (options.shrink) {
-            ShrinkOptions shrink_options;
-            shrink_options.max_evaluations = options.shrink_max_evaluations;
-            Result<ShrinkOutcome> shrunk =
-                Shrink(trial.value(), *property, result, shrink_options);
-            if (shrunk.ok()) {
-              minimized = std::move(shrunk.value().data);
-              final_result = std::move(shrunk.value().failure);
-            }
-          }
-          CampaignFailure failure;
-          failure.trial = trial_index;
-          failure.property = property->name;
-          failure.kind = final_result.kind;
-          failure.message = final_result.message;
-          failure.original_rows = trial->num_rows();
-          failure.rows = minimized.num_rows();
-          failure.attributes = minimized.num_attributes();
-          ReproCase repro;
-          repro.property = property->name;
-          repro.expect_fail = true;
-          repro.kind = final_result.kind;
-          for (const std::string& name : armed) {
-            repro.failpoints.emplace_back(name, 0);
-          }
-          repro.data = std::move(minimized);
-          failure.repro = FormatRepro(repro);
-          slot.failures.push_back(std::move(failure));
-        }
-      });
+      }
+      CampaignFailure failure;
+      failure.trial = trial_index;
+      failure.property = property->name;
+      failure.kind = final_result.kind;
+      failure.message = final_result.message;
+      failure.original_rows = trial->num_rows();
+      failure.rows = minimized.num_rows();
+      failure.attributes = minimized.num_attributes();
+      ReproCase repro;
+      repro.property = property->name;
+      repro.expect_fail = true;
+      repro.kind = final_result.kind;
+      for (const std::string& name : armed) {
+        repro.failpoints.emplace_back(name, 0);
+      }
+      repro.data = std::move(minimized);
+      failure.repro = FormatRepro(repro);
+      slot.failures.push_back(std::move(failure));
+    }
+  };
+  Sweep(options.trials, options.threads, /*ctx=*/nullptr, "check.campaign",
+        [&](size_t /*chunk*/, size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) run_trial(i);
+        });
 
   CampaignReport report;
   report.seed = options.seed;

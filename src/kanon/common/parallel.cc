@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <limits>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "kanon/telemetry/tracer.h"
 
@@ -37,7 +38,8 @@ thread_local bool t_in_sweep = false;
 // can never touch freed memory, and stack lifetime never escapes: the
 // caller waits until every participant left before returning.
 struct Job {
-  const std::function<void(size_t, size_t, size_t)>* body = nullptr;
+  internal::SweepBody call = nullptr;
+  const void* body = nullptr;
   size_t n = 0;
   size_t num_chunks = 0;
   RunContext* ctx = nullptr;
@@ -72,7 +74,7 @@ size_t DrainChunks(Job& job) {
     const size_t chunk = job.next.fetch_add(1, std::memory_order_relaxed);
     if (chunk >= job.num_chunks) break;
     const auto [begin, end] = ParallelChunkRange(job.n, chunk);
-    (*job.body)(chunk, begin, end);
+    job.call(job.body, chunk, begin, end);
     ++ran;
   }
   t_in_sweep = was_in_sweep;
@@ -189,38 +191,43 @@ std::pair<size_t, size_t> ParallelChunkRange(size_t n, size_t chunk) {
   return {begin, begin + base + (chunk < extra ? 1 : 0)};
 }
 
-bool SweepRunsInline(size_t n, int num_threads, size_t serial_below) {
-  return ResolveNumThreads(num_threads) <= 1 || ParallelChunkCount(n) <= 1 ||
-         t_in_sweep || n < serial_below;
-}
+namespace internal {
 
-SweepSpan::SweepSpan(size_t n, const char* stage)
-    : tracer_(t_in_sweep || n == 0 ? nullptr : CurrentTracer()),
-      span_(tracer_, stage, "sweep") {
-  if (tracer_ != nullptr) {
-    span_.set_items(ParallelChunkCount(n));
-    tracer_->AdvanceSteps(ParallelChunkCount(n));
-  }
-}
-
-SweepStatus ParallelChunks(
-    size_t n, int num_threads, RunContext* ctx, const char* stage,
-    const std::function<void(size_t, size_t, size_t)>& body,
-    size_t serial_below) {
-  if (ctx != nullptr && ctx->stopped()) return {false};
-  if (n == 0) return {true};
+SweepStatus RunSweep(size_t n, int num_threads, RunContext* ctx,
+                     const char* stage, size_t serial_below, SweepBody call,
+                     const void* body) {
+  if (ctx != nullptr && ctx->stopped()) return {false, 0};
+  if (n == 0) return {true, 0};
   const size_t num_chunks = ParallelChunkCount(n);
+  const bool runs_inline = ResolveNumThreads(num_threads) <= 1 ||
+                           num_chunks <= 1 || t_in_sweep || n < serial_below;
+  // The lane-0 record: only top-level sweeps are traced (nested sweeps run
+  // inline inside an already-traced chunk), with items and step-clock
+  // advance pure in n.
+  Tracer* const tracer = t_in_sweep ? nullptr : CurrentTracer();
+  PhaseSpan span(tracer, stage, "sweep");
+  if (tracer != nullptr) {
+    span.set_items(num_chunks);
+    tracer->AdvanceSteps(num_chunks);
+  }
+  if (runs_inline && ctx == nullptr) {
+    // Nothing to poll: one call over the whole range. Save/restore the flag
+    // so sweeps nested in the body run inline too.
+    const bool was_in_sweep = t_in_sweep;
+    t_in_sweep = true;
+    call(body, 0, 0, n);
+    t_in_sweep = was_in_sweep;
+    return {true, 1};
+  }
   auto job = std::make_shared<Job>();
-  job->body = &body;
+  job->call = call;
+  job->body = body;
   job->n = n;
   job->num_chunks = num_chunks;
   job->ctx = ctx;
-  // Only top-level sweeps are traced (nested sweeps run inline inside an
-  // already-traced chunk).
-  const SweepSpan sweep_span(n, stage);
-  job->tracer = sweep_span.tracer();
+  job->tracer = tracer;
   job->stage = stage;
-  if (SweepRunsInline(n, num_threads, serial_below)) {
+  if (runs_inline) {
     DrainChunks(*job);
   } else {
     const size_t threads = std::min<size_t>(
@@ -230,70 +237,13 @@ SweepStatus ParallelChunks(
   const int stop = job->stop.load(std::memory_order_relaxed);
   if (stop != 0) {
     if (ctx != nullptr) ctx->NoteStop(static_cast<StopReason>(stop));
-    return {false};
+    return {false, num_chunks};
   }
   // Step accounting: one deterministic step per completed sweep. A budget
   // tripped here stops the run from the next checkpoint on.
   if (ctx != nullptr) ctx->CheckPoint(stage);
-  return {true};
+  return {true, num_chunks};
 }
 
-SweepStatus ParallelFor(size_t n, int num_threads, RunContext* ctx,
-                        const char* stage,
-                        const std::function<void(size_t)>& body,
-                        std::vector<uint8_t>* done, size_t serial_below) {
-  if (done != nullptr) done->assign(n, 0);
-  return ParallelChunks(
-      n, num_threads, ctx, stage,
-      [&](size_t /*chunk*/, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          body(i);
-          if (done != nullptr) (*done)[i] = 1;
-        }
-      },
-      serial_below);
-}
-
-ArgminResult ParallelArgmin(size_t n, int num_threads, RunContext* ctx,
-                            const char* stage,
-                            const std::function<double(size_t)>& eval,
-                            size_t serial_below) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  struct Part {
-    size_t index = 0;
-    double value = kInf;
-    bool valid = false;
-  };
-  std::vector<Part> parts(ParallelChunkCount(n));
-  const SweepStatus sweep = ParallelChunks(
-      n, num_threads, ctx, stage,
-      [&](size_t chunk, size_t begin, size_t end) {
-        Part local;
-        for (size_t i = begin; i < end; ++i) {
-          const double v = eval(i);
-          // Strict < in ascending index order: first (smallest) index wins
-          // ties, exactly like a serial scan.
-          if (!local.valid || v < local.value) {
-            local.index = i;
-            local.value = v;
-            local.valid = true;
-          }
-        }
-        parts[chunk] = local;
-      },
-      serial_below);
-  ArgminResult out;
-  out.completed = sweep.completed;
-  for (const Part& p : parts) {
-    // Chunk-index order: on equal values the earlier chunk (smaller
-    // indices) keeps the win.
-    if (p.valid && (!out.valid || p.value < out.value)) {
-      out.index = p.index;
-      out.value = p.value;
-      out.valid = true;
-    }
-  }
-  return out;
-}
-
+}  // namespace internal
 }  // namespace kanon

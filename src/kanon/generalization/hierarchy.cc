@@ -68,7 +68,7 @@ Result<Hierarchy> Hierarchy::Build(size_t domain_size,
   // serial scan's first error.
   h.join_.assign(num * num, 0);
   std::vector<std::string> ambiguous(num);
-  ParallelChunks(
+  Sweep(
       num, num_threads, nullptr, "hierarchy/join-table",
       [&](size_t /*chunk*/, size_t begin, size_t end) {
         for (size_t a = begin; a < end; ++a) {

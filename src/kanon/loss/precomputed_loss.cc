@@ -27,12 +27,14 @@ PrecomputedLoss::PrecomputedLoss(
     double* row = costs_.data() + offsets_[j];
     // SetCost is a pure function of (hierarchy, counts, set): the table
     // fills set-wise across the worker threads, one disjoint slot each.
-    ParallelFor(
+    Sweep(
         h.num_sets(), num_threads, nullptr, "loss/precompute",
-        [&](size_t s) {
-          row[s] = measure.SetCost(h, counts, static_cast<SetId>(s));
+        [&](size_t /*chunk*/, size_t begin, size_t end) {
+          for (size_t s = begin; s < end; ++s) {
+            row[s] = measure.SetCost(h, counts, static_cast<SetId>(s));
+          }
         },
-        /*done=*/nullptr, /*serial_below=*/1024);
+        /*serial_below=*/1024);
   }
   inv_num_attributes_ = 1.0 / static_cast<double>(r);
 }

@@ -6,11 +6,12 @@
 // exactly, under all five distances, at 1 and 3 threads, on tables full of
 // duplicate rows (so most distances tie) and on ART tables, for n below,
 // at, and not divisible by the block count. The blocks themselves must
-// split the pairs evenly.
+// split the pairs evenly, and a stop must wait for one row at most.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "kanon/algo/agglomerative_engine.h"
@@ -177,6 +178,46 @@ TEST(SingletonInitTest, StopsAndInjectedFailuresSurface) {
   ASSERT_FALSE(failed.ok());
   EXPECT_NE(failed.status().message().find("agglomerative.closure"),
             std::string::npos);
+}
+
+// PlainPolicy that counts its Distance calls and cancels `token` on the
+// `cancel_at`-th one.
+struct CancellingPolicy {
+  double Distance(size_t size_a, size_t size_b, size_t size_union, double d_a,
+                  double d_b, double d_union) const {
+    if (++*calls == cancel_at) token->Cancel();
+    return PlainPolicy{}.Distance(size_a, size_b, size_union, d_a, d_b,
+                                  d_union);
+  }
+  size_t* calls;
+  size_t cancel_at;
+  CancellationToken* token;
+};
+
+TEST(SingletonInitTest, StopWaitsForOneRowAtMost) {
+  // Each anchor row polls the context, so after a cancellation the init
+  // finishes at most the row it is pricing: n - 1 pairs, two Distance
+  // calls each. The first block alone holds about n²/16 pairs.
+  const size_t n = 400;
+  const auto scheme = SmallScheme();
+  const Dataset d = SmallRandomDataset(*scheme, n, 11);
+  const PrecomputedLoss loss(scheme, d, EntropyMeasure());
+  const LossKernels kernels(d, loss);
+  const ClusterSlots slots = SingletonSlots(d, loss, false);
+  for (size_t cancel_at : {1u, 1000u, 5000u, 40000u}) {
+    auto token = std::make_shared<CancellationToken>();
+    RunContext ctx;
+    ctx.set_cancel_token(token);
+    size_t calls = 0;
+    const CancellingPolicy policy{&calls, cancel_at, token.get()};
+    std::vector<CandidatePair> out;
+    const SweepStatus sweep = Unwrap(
+        SingletonTwoBests(kernels, slots, n, policy, 1, &ctx, &out));
+    EXPECT_FALSE(sweep.completed) << "cancel_at=" << cancel_at;
+    EXPECT_EQ(ctx.stats().stop_reason, StopReason::kCancelled);
+    ASSERT_GE(calls, cancel_at);
+    EXPECT_LE(calls - cancel_at, 2 * (n - 1)) << "cancel_at=" << cancel_at;
+  }
 }
 
 }  // namespace
